@@ -42,9 +42,9 @@ from .linalg import ColumnList, SymmetricPSD, as_matrix
 from .projections import (
     ProjectedLaw,
     RademacherLaw,
-    _project_lp_ball_gen,
-    _project_product_gen,
     compare_ball_vs_product,
+    project_lp_ball_batch,
+    project_product_batch,
     sample_projected_law,
 )
 from .rates import rate_truncated
@@ -54,6 +54,7 @@ from .samplers import (
     lp_ball_batch,
     p_gaussian_batch,
     stiefel_batch,
+    wishart_batch,
 )
 from .verify import LdpExperiment, run_clt_check, run_dickey_check, run_ldp_configuration, run_ldp_corner
 
@@ -137,8 +138,7 @@ def _cmd_sample(args) -> int:
             return _usage("wishart requires --k and --n")
         if args.n < args.k:
             return _usage("wishart requires n >= k")
-        g = gen.standard_normal((args.count, args.k, args.n))
-        draws = np.einsum("bkn,bln->bkl", g, g)
+        draws = wishart_batch(gen, args.k, args.n, args.count)
         shape = [args.k, args.k]
     elif args.dist == "pgaussian":
         if args.p is None:
@@ -277,12 +277,10 @@ def _cmd_project(args) -> int:
             return _usage("k must be <= n")
         frame = stiefel_batch(rng.child(0), args.k, args.n, 1)[0]
         if args.mode == "lpball":
-            if math.isinf(args.p):
-                return _usage("lpball requires finite p")
-            cloud = _project_lp_ball_gen(rng.child(1), frame, args.p, args.count)
+            cloud = project_lp_ball_batch(rng.child(1), frame, args.p, args.count)
         else:
-            cloud = _project_product_gen(rng.child(1), frame,
-                                         PGaussianParams(args.p), args.count)
+            cloud = project_product_batch(rng.child(1), frame,
+                                          PGaussianParams(args.p), args.count)
         meta = {"k": args.k, "n": args.n, "p": _json_safe(args.p)}
     else:  # law
         if not args.law_json:

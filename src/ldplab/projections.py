@@ -202,30 +202,26 @@ def sample_projected_law(rng: SeededRng, law: ProjectedLaw, count: int) -> Empir
     return _sample_projected_gen(rng.generator(), law, count)
 
 
-def _project_product_gen(gen, v: np.ndarray, law, count: int) -> EmpiricalMeasure:
-    n = v.shape[1]
-    y = law_draws(gen, law, (count, n))
-    return EmpiricalMeasure.from_points(y @ v.T)
-
-
-def project_product(rng: SeededRng, v, law, count: int) -> EmpiricalMeasure:
-    """Push the product law of n i.i.d. coordinates through the k x n frame."""
+def project_product_batch(gen, v, law, count: int) -> EmpiricalMeasure:
+    """Push the product law of n i.i.d. coordinates through the k x n frame,
+    drawing from ``gen``."""
     v = as_matrix(v)
     if v.shape[0] > v.shape[1]:
         raise DimensionMismatch("frame must have k <= n")
     if count < 1:
         raise DomainError("count must be >= 1")
-    return _project_product_gen(rng.generator(), v, law, count)
+    y = law_draws(gen, law, (count, v.shape[1]))
+    return EmpiricalMeasure.from_points(y @ v.T)
 
 
-def _project_lp_ball_gen(gen, v: np.ndarray, p: float, count: int) -> EmpiricalMeasure:
-    n = v.shape[1]
-    x = lp_ball_batch(gen, p, n, n ** (1.0 / p), count)
-    return EmpiricalMeasure.from_points(x @ v.T)
+def project_product(rng: SeededRng, v, law, count: int) -> EmpiricalMeasure:
+    """:func:`project_product_batch` on the generator of ``rng``."""
+    return project_product_batch(rng.generator(), v, law, count)
 
 
-def project_lp_ball(rng: SeededRng, v, p: float, count: int) -> EmpiricalMeasure:
-    """Project the uniform law on n^(1/p) B_p^n through the k x n frame."""
+def project_lp_ball_batch(gen, v, p: float, count: int) -> EmpiricalMeasure:
+    """Project the uniform law on n^(1/p) B_p^n through the k x n frame,
+    drawing from ``gen``."""
     v = as_matrix(v)
     if v.shape[0] > v.shape[1]:
         raise DimensionMismatch("frame must have k <= n")
@@ -233,7 +229,14 @@ def project_lp_ball(rng: SeededRng, v, p: float, count: int) -> EmpiricalMeasure
         raise DomainError("p must be in [1, inf)")
     if count < 1:
         raise DomainError("count must be >= 1")
-    return _project_lp_ball_gen(rng.generator(), v, p, count)
+    n = v.shape[1]
+    x = lp_ball_batch(gen, p, n, n ** (1.0 / p), count)
+    return EmpiricalMeasure.from_points(x @ v.T)
+
+
+def project_lp_ball(rng: SeededRng, v, p: float, count: int) -> EmpiricalMeasure:
+    """:func:`project_lp_ball_batch` on the generator of ``rng``."""
+    return project_lp_ball_batch(rng.generator(), v, p, count)
 
 
 def empirical_cf(measure: EmpiricalMeasure, t) -> complex:
@@ -336,8 +339,8 @@ def compare_ball_vs_product(
         if k > n:
             raise DimensionMismatch("k must be <= n")
         v = stiefel_batch(rng.child(idx, 0), k, n, 1)[0]
-        ball = _project_lp_ball_gen(rng.child(idx, 1), v, p, count)
-        product = _project_product_gen(
+        ball = project_lp_ball_batch(rng.child(idx, 1), v, p, count)
+        product = project_product_batch(
             rng.child(idx, 2), v, PGaussianParams(p), count
         )
         out.append((n, levy_prokhorov(ball, product, grid=grid)))

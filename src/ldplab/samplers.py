@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailure
+from .errors import DomainError
 from .linalg import SymmetricPSD
 
 
@@ -63,48 +63,23 @@ def gaussian_matrix(rng: SeededRng, k: int, n: int) -> np.ndarray:
     return rng.generator().standard_normal((k, n))
 
 
-def _inv_sqrt_psd(s: np.ndarray) -> np.ndarray:
-    """(S)^(-1/2) for symmetric positive definite S via eigendecomposition."""
-    try:
-        vals, vecs = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    if vals[0] <= vals[-1] * s.shape[0] * 1e-14:
-        raise NumericalFailure("matrix is numerically singular")
-    return (vecs / np.sqrt(vals)) @ vecs.T
-
-
 def stiefel_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.ndarray:
     """``count`` Haar frames as a (count, k, n) array, drawn from ``gen``.
 
-    Internal vectorized form of :func:`haar_stiefel` used by the Monte Carlo
-    drivers; k = 1 reduces to normalizing Gaussian rows.
+    Each frame is Q^T from the QR decomposition of an n x k Gaussian, with
+    the signs of diag(R) divided out so that the law is exactly Haar
+    (Mezzadri, Notices AMS 54, 2007).
     """
-    g = gen.standard_normal((count, k, n))
-    if k == 1:
-        norms = np.linalg.norm(g, axis=2, keepdims=True)
-        return g / norms
-    s = np.einsum("bkn,bln->bkl", g, g)
-    vals, vecs = np.linalg.eigh(s)
-    inv_root = np.einsum(
-        "bij,bj,bkj->bik", vecs, 1.0 / np.sqrt(vals), vecs
-    )
-    return np.einsum("bij,bjn->bin", inv_root, g)
+    q, r = np.linalg.qr(gen.standard_normal((count, n, k)))
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    return np.swapaxes(q * signs[:, None, :], 1, 2)
 
 
 def haar_stiefel(rng: SeededRng, k: int, n: int) -> np.ndarray:
-    """Uniform k x n orthonormal frame: V = (G G^T)^(-1/2) G, G Gaussian."""
+    """Uniform k x n orthonormal frame (one draw of :func:`stiefel_batch`)."""
     if k > n:
         raise DomainError("k must be <= n")
-    gen = rng.generator()
-    for attempt in range(2):
-        g = gen.standard_normal((k, n))
-        try:
-            return _inv_sqrt_psd(g @ g.T) @ g
-        except NumericalFailure:
-            if attempt == 1:
-                raise
-    raise NumericalFailure("unreachable")  # pragma: no cover
+    return stiefel_batch(rng.generator(), k, n, 1)[0]
 
 
 def haar_orthogonal(rng: SeededRng, n: int) -> np.ndarray:
@@ -112,12 +87,26 @@ def haar_orthogonal(rng: SeededRng, n: int) -> np.ndarray:
     return haar_stiefel(rng, n, n)
 
 
+def wishart_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.ndarray:
+    """(count, k, k) array of H H^T for k x n standard Gaussians H.
+
+    Bartlett decomposition: H H^T has the law of L L^T with L lower
+    triangular, L_ii^2 ~ chi^2(n - i) for i = 0, ..., k - 1 and standard
+    normals below the diagonal, so a draw costs O(k^2) whatever n is.
+    """
+    low = np.zeros((count, k, k))
+    below = np.tri(k, k, -1, dtype=bool)
+    low[:, below] = gen.standard_normal((count, int(below.sum())))
+    diag = np.arange(k)
+    low[:, diag, diag] = np.sqrt(gen.chisquare(n - diag, size=(count, k)))
+    return low @ np.swapaxes(low, 1, 2)
+
+
 def wishart(rng: SeededRng, k: int, n: int) -> SymmetricPSD:
     """H H^T for a k x n standard Gaussian H (identity scale matrix)."""
     if not 1 <= k <= n:
         raise DomainError("need n >= k >= 1")
-    h = rng.generator().standard_normal((k, n))
-    return SymmetricPSD.from_matrix(h @ h.T)
+    return SymmetricPSD.from_matrix(wishart_batch(rng.generator(), k, n, 1)[0])
 
 
 def p_gaussian_batch(gen: np.random.Generator, p: float, shape) -> np.ndarray:
@@ -154,10 +143,7 @@ def uniform_lp_ball(
         raise DomainError("p must be in [1, inf)")
     if radius_scale <= 0:
         raise DomainError("radius_scale must be > 0")
-    gen = rng.generator()
-    z = p_gaussian_batch(gen, p, n)
-    u = gen.uniform()
-    return radius_scale * u ** (1.0 / n) * z / np.linalg.norm(z, ord=p)
+    return lp_ball_batch(rng.generator(), p, n, radius_scale, 1)[0]
 
 
 def lp_ball_batch(
@@ -170,38 +156,36 @@ def lp_ball_batch(
     return radius_scale * u ** (1.0 / n) * z / norms
 
 
-def dickey_corner(rng: SeededRng, k: int, m: int, big_n: int) -> np.ndarray:
-    """T = (S + G G^T)^(-1/2) G with S Wishart of k x (N + k - 1) Gaussian
-    rows independent of the k x m Gaussian G.
-
-    ``T T^T`` always has operator norm < 1.
-    """
-    if k < 1 or m < 1 or big_n < 1:
-        raise DomainError("k, m, N must all be >= 1")
-    gen = rng.generator()
-    h = gen.standard_normal((k, big_n + k - 1))
-    g = gen.standard_normal((k, m))
-    return _inv_sqrt_psd(h @ h.T + g @ g.T) @ g
-
-
 def dickey_corner_batch(
     gen: np.random.Generator, k: int, m: int, big_n: int, count: int
 ) -> np.ndarray:
-    """(count, k, m) array of independent Dickey corner draws."""
-    h = gen.standard_normal((count, k, big_n + k - 1))
+    """(count, k, m) array of T = (S + G G^T)^(-1/2) G, with S Wishart of
+    k x (N + k - 1) Gaussian rows independent of the k x m Gaussian G.
+
+    ``T T^T`` always has operator norm < 1.
+    """
     g = gen.standard_normal((count, k, m))
-    s = np.einsum("bkn,bln->bkl", h, h) + np.einsum("bkn,bln->bkl", g, g)
-    vals, vecs = np.linalg.eigh(s)
-    inv_root = np.einsum("bij,bj,bkj->bik", vecs, 1.0 / np.sqrt(vals), vecs)
-    return np.einsum("bij,bjm->bim", inv_root, g)
+    s = wishart_batch(gen, k, big_n + k - 1, count)
+    vals, vecs = np.linalg.eigh(s + g @ np.swapaxes(g, 1, 2))
+    inv_root = (vecs / np.sqrt(vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    return inv_root @ g
+
+
+def dickey_corner(rng: SeededRng, k: int, m: int, big_n: int) -> np.ndarray:
+    """One draw of :func:`dickey_corner_batch`."""
+    if k < 1 or m < 1 or big_n < 1:
+        raise DomainError("k, m, N must all be >= 1")
+    return dickey_corner_batch(rng.generator(), k, m, big_n, 1)[0]
 
 
 def stiefel_corner_batch(
     gen: np.random.Generator, k: int, n: int, ell: int, count: int
 ) -> np.ndarray:
-    """Leading k x ell blocks of ``count`` Haar frames, shape (count, k, ell)."""
-    if k == 1:
-        g = gen.standard_normal((count, n))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        return (g[:, :ell] / norms)[:, None, :]
-    return stiefel_batch(gen, k, n, count)[:, :, :ell]
+    """Leading k x ell blocks of ``count`` Haar frames, shape (count, k, ell).
+
+    Drawn by the Dickey identity with N = n - ell - k + 1, which needs
+    n >= ell + k; a draw costs O(k^2 + k ell) whatever n is.
+    """
+    if n < ell + k:
+        raise DomainError("need n >= ell + k")
+    return dickey_corner_batch(gen, k, ell, n - ell - k + 1, count)

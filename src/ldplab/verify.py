@@ -20,7 +20,7 @@ from .configurations import PointConfiguration
 from .densities import log_corner_density, sigma_p_squared
 from .errors import DomainError, InfeasibleExperiment
 from .linalg import as_matrix
-from .projections import _project_lp_ball_gen, _project_product_gen
+from .projections import project_lp_ball_batch, project_product_batch
 from .rates import rate_configuration, rate_finite
 from .samplers import (
     PGaussianParams,
@@ -78,6 +78,11 @@ class LdpExperiment:
             raise DomainError("quadrature requires k = ell = 1")
         if self.samples_per_n < 1:
             raise DomainError("samples_per_n must be >= 1")
+        if self.n_values[0] < self.ell + self.k:
+            raise DomainError(
+                f"n_values must be >= ell + k = {self.ell + self.k}, "
+                f"got n = {self.n_values[0]}"
+            )
         s_max = float(np.linalg.svd(self.target, compute_uv=False)[0])
         if s_max < 1.0 and s_max + self.radius >= 1.0:
             raise DomainError(
@@ -115,54 +120,21 @@ class SlopeReport:
         return [(n, lp, se) for n, lp, se in self.per_n]
 
 
-def _golden_minimize(f, lo, hi, iters=80):
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def min_rate_over_ball(target, radius: float) -> float:
     """Minimum of the finite-block rate over the closed Frobenius ball.
 
-    Scalar targets use a dense grid (step radius/50) plus golden-section
-    refinement.  Larger blocks reduce to the singular values: any block
-    within Frobenius distance r has singular values within l2 distance r,
-    and conversely, so the minimum is a small convex program over the
-    shifted singular values.
+    The scalar rate is even and increasing in |x|, so its minimum sits at
+    |x| = max(|a| - r, 0).  Larger blocks reduce to the singular values:
+    any block within Frobenius distance r has singular values within l2
+    distance r, and conversely, so the minimum is a small convex program
+    over the shifted singular values.
     """
     target = as_matrix(target)
     if np.linalg.norm(target) <= radius:
         return 0.0
     k, ell = target.shape
     if k == 1 and ell == 1:
-        a = float(target[0, 0])
-        lo, hi = max(a - radius, -1.0), min(a + radius, 1.0)
-        if lo > hi:
-            return float("inf")
-
-        def f(x):
-            return rate_finite(np.array([[x]]))
-
-        xs = np.linspace(lo, hi, 101)
-        vals = [f(x) for x in xs]
-        i = int(np.argmin(vals))
-        g_lo = xs[max(i - 1, 0)]
-        g_hi = xs[min(i + 1, len(xs) - 1)]
-        x_star, val = _golden_minimize(f, g_lo, g_hi)
-        return min(float(val), float(vals[i]))
+        return rate_finite([[max(abs(float(target[0, 0])) - radius, 0.0)]])
 
     s = np.linalg.svd(target, compute_uv=False)
 
@@ -449,7 +421,8 @@ def run_dickey_check(rng: SeededRng, k: int, m: int, n: int, samples: int,
     dof = n - m - k + 1 + dof_offset
     if dof < 1:
         raise DomainError("degrees of freedom must be >= 1")
-    corners = stiefel_corner_batch(rng.child(0), k, n, m, samples)
+    # whole QR frames: stiefel_corner_batch is the Dickey construction itself
+    corners = stiefel_batch(rng.child(0), k, n, samples)[:, :, :m]
     dickey = dickey_corner_batch(rng.child(1), k, m, dof, samples)
     entries = []
     for i in range(k):
@@ -497,9 +470,9 @@ def run_clt_check(rng: SeededRng, k: int, p: float, n: int, samples: int) -> Gau
     sigma2 = sigma_p_squared(p)
     v = stiefel_batch(rng.child(0), k, n, 1)[0]
     if math.isinf(p):
-        cloud = _project_product_gen(rng.child(1), v, PGaussianParams(p), samples)
+        cloud = project_product_batch(rng.child(1), v, PGaussianParams(p), samples)
     else:
-        cloud = _project_lp_ball_gen(rng.child(1), v, p, samples)
+        cloud = project_lp_ball_batch(rng.child(1), v, p, samples)
     scale = math.sqrt(sigma2)
     marginals = []
     for i in range(k):

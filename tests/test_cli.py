@@ -126,6 +126,16 @@ def test_verify_rejects_empty_n_values(tmp_path, capsys):
     assert run(["verify", "--config", str(path)]) == 2
 
 
+def test_verify_rejects_n_below_ell_plus_k(tmp_path, capsys):
+    cfg = {"schema_version": 1, "seed": 1, "experiment": "ldp_corner",
+           "k": 2, "ell": 2, "target": [[0.0, 0.0], [0.0, 0.0]], "radius": 0.5,
+           "n_values": [3, 10], "samples_per_n": 100}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["verify", "--config", str(path)]) == 2
+    assert "ell + k" in capsys.readouterr().err
+
+
 def test_verify_infeasible_exit_code(tmp_path, capsys):
     cfg = {"schema_version": 1, "seed": 1, "experiment": "ldp_corner",
            "k": 1, "ell": 1, "target": [[0.9]], "radius": 0.01,
@@ -167,6 +177,9 @@ def test_project_and_compare(tmp_path, capsys):
                 "--out", str(out)]) == 0
     rows = np.loadtxt(out, delimiter=",")
     assert rows.shape == (50, 2)
+    assert run(["project", "--mode", "lpball", "--k", "2", "--n", "40",
+                "--p", "inf", "--count", "50", "--seed", "3",
+                "--out", str(out)]) == 2
     capsys.readouterr()
     assert run(["compare", "--k", "1", "--p", "1", "--n-list", "20,40",
                 "--count", "1000", "--grid", "64", "--seed", "5"]) == 0

@@ -16,9 +16,11 @@ from ldplab.samplers import (
     haar_orthogonal,
     haar_stiefel,
     p_gaussian,
+    stiefel_batch,
     stiefel_corner_batch,
     uniform_lp_ball,
     wishart,
+    wishart_batch,
 )
 
 KS_CRIT_1PCT = 1.63  # one-sample critical value scale at the 1 percent level
@@ -79,6 +81,21 @@ def test_haar_stiefel_first_entry_density():
     assert stat < KS_CRIT_1PCT / math.sqrt(10**5)
 
 
+@pytest.mark.parametrize("n", [8, 32])
+def test_stiefel_batch_square_frames_orthonormal(n):
+    # criterion 1's bound on the batched path at k = n
+    frames = stiefel_batch(SeededRng(28, n).generator(), n, n, 2000)
+    gram_err = np.linalg.norm(
+        frames @ np.swapaxes(frames, 1, 2) - np.eye(n), axis=(1, 2))
+    assert gram_err.max() <= 1e-10
+
+
+def test_stiefel_corner_batch_requires_n_ge_ell_plus_k():
+    with pytest.raises(DomainError):
+        stiefel_corner_batch(SeededRng(29).generator(), 2, 3, 2, 10)
+    assert stiefel_corner_batch(SeededRng(29).generator(), 2, 4, 2, 10).shape == (10, 2, 2)
+
+
 def test_haar_orthogonal_sign_frequency():
     draws = [haar_orthogonal(SeededRng(6, i), 1)[0, 0] for i in range(10**4)]
     freq = np.mean(np.array(draws) > 0)
@@ -122,6 +139,19 @@ def test_wishart_chi_squared_mean():
 def test_wishart_trace_expectation():
     traces = np.array([np.trace(wishart(SeededRng(12, i), 2, 5).matrix) for i in range(10**4)])
     assert abs(traces.mean() - 10.0) < 0.3
+
+
+def test_wishart_batch_matches_gaussian_gram():
+    # Bartlett draws against explicit H H^T, entry by entry, off-diagonal
+    # entries included; chi^2(n + 1 - i) diagonals or 1.2x off-diagonal
+    # normals fail it
+    k, n, draws = 3, 5, 20_000
+    bartlett = wishart_batch(SeededRng(26).generator(), k, n, draws)
+    h = SeededRng(27).generator().standard_normal((draws, k, n))
+    direct = h @ np.swapaxes(h, 1, 2)
+    for i in range(k):
+        for j in range(i + 1):
+            assert ks_2samp(bartlett[:, i, j], direct[:, i, j]).pvalue > 0.01
 
 
 def test_wishart_scalar_nonnegative():

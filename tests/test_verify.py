@@ -48,6 +48,10 @@ def test_experiment_validation():
     with pytest.raises(DomainError):
         LdpExperiment(k=1, ell=1, target=[[0.1]], radius=0.05,
                       n_values=[20, 10], samples_per_n=10)
+    # the corner law needs n >= ell + k
+    with pytest.raises(DomainError):
+        LdpExperiment(k=2, ell=2, target=np.zeros((2, 2)), radius=0.05,
+                      n_values=[3, 10], samples_per_n=10)
 
 
 def test_typical_event_has_zero_slope():
