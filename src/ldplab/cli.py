@@ -124,8 +124,6 @@ def _cmd_sample(args) -> int:
     if args.dist == "stiefel":
         if args.k is None or args.n is None:
             return _usage("stiefel requires --k and --n")
-        if args.k > args.n:
-            return _usage("k must be <= n")
         draws = stiefel_batch(gen, args.k, args.n, args.count)
         shape = [args.k, args.n]
     elif args.dist == "orthogonal":
@@ -273,8 +271,6 @@ def _cmd_project(args) -> int:
     if args.mode in ("lpball", "product"):
         if args.k is None or args.n is None or args.p is None:
             return _usage(f"{args.mode} requires --k, --n and --p")
-        if args.k > args.n:
-            return _usage("k must be <= n")
         frame = stiefel_batch(rng.child(0), args.k, args.n, 1)[0]
         if args.mode == "lpball":
             cloud = project_lp_ball_batch(rng.child(1), frame, args.p, args.count)

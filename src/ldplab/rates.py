@@ -17,7 +17,14 @@ import numpy as np
 
 from .configurations import PointConfiguration, config_to_matrix
 from .errors import DomainError, NumericalFailure
-from .linalg import ColumnList, as_matrix, gram, log_det_complement, operator_norm
+from .linalg import (
+    BOUNDARY_TOL,
+    ColumnList,
+    as_matrix,
+    gram,
+    log_det_complement,
+    operator_norm,
+)
 
 INF = float("inf")
 
@@ -59,6 +66,19 @@ def rate_finite(a) -> float:
     return -0.5 * log_comp
 
 
+def _spectral_rates(lam) -> np.ndarray:
+    """Rates of Gram matrices from their ascending spectra (last axis).
+
+    The rule of :func:`ldplab.linalg.log_det_complement`: eigenvalues are
+    clamped at 0 and the rate is +inf once the top one is within
+    ``BOUNDARY_TOL`` of 1.
+    """
+    lam = np.clip(lam, 0.0, None)
+    edge = lam[..., -1] >= 1.0 - BOUNDARY_TOL
+    logs = np.sum(np.log1p(-np.where(edge[..., None], 0.0, lam)), axis=-1)
+    return np.where(edge, INF, -0.5 * logs)
+
+
 def _certified_monotone(raw_rates, slack=MONOTONE_SLACK):
     out = []
     last = 0.0
@@ -83,7 +103,11 @@ def rate_truncated(a: ColumnList, max_level: int | None = None, tol: float = MON
     """
     n_cols = a.count
     levels = n_cols if max_level is None else min(max_level, n_cols)
-    raw = [rate_finite(a.prefix(ell)) for ell in range(1, levels + 1)]
+    # every prefix Gram matrix at once, as running sums of column outer
+    # products, and one batched eigensolve over the stack
+    cols = a.columns[:, :levels].T
+    grams = np.cumsum(cols[:, :, None] * cols[:, None, :], axis=0)
+    raw = _spectral_rates(np.linalg.eigvalsh(grams)).tolist()
     partial = _certified_monotone(raw, slack=tol)
 
     full_norm = operator_norm(gram(a.matrix())) if n_cols else 0.0
@@ -117,8 +141,11 @@ def rate_orthogonal_truncated(m, k_max: int) -> TruncationReport:
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
     levels = min(k_max, n)
-    raw = [rate_finite(m[:k, :]) for k in range(1, levels + 1)]
-    partial = _certified_monotone(raw)
+    # the Gram matrix of the first k rows is the leading k x k block of one
+    # Gram matrix
+    g = m[:levels] @ m[:levels].T
+    spectra = [np.linalg.eigvalsh(g[:k, :k]) for k in range(1, levels + 1)]
+    partial = _certified_monotone([float(_spectral_rates(lam)) for lam in spectra])
     return TruncationReport(
         truncation_level=levels,
         partial_rates=partial,
@@ -126,7 +153,7 @@ def rate_orthogonal_truncated(m, k_max: int) -> TruncationReport:
         tail_bound=float(np.sum(m[levels:, :] ** 2)),
         boundary=bool(
             partial and math.isinf(partial[-1])
-            and BOUNDARY_LO <= operator_norm(gram(m[:levels, :])) <= BOUNDARY_HI
+            and BOUNDARY_LO <= spectra[-1][-1] <= BOUNDARY_HI
         ),
     )
 

@@ -70,6 +70,8 @@ def stiefel_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.nd
     the signs of diag(R) divided out so that the law is exactly Haar
     (Mezzadri, Notices AMS 54, 2007).
     """
+    if k > n:
+        raise DomainError("k must be <= n")
     q, r = np.linalg.qr(gen.standard_normal((count, n, k)))
     signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     return np.swapaxes(q * signs[:, None, :], 1, 2)
@@ -77,8 +79,6 @@ def stiefel_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.nd
 
 def haar_stiefel(rng: SeededRng, k: int, n: int) -> np.ndarray:
     """Uniform k x n orthonormal frame (one draw of :func:`stiefel_batch`)."""
-    if k > n:
-        raise DomainError("k must be <= n")
     return stiefel_batch(rng.generator(), k, n, 1)[0]
 
 

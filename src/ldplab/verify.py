@@ -330,6 +330,8 @@ def run_ldp_configuration(
     n_values = [int(n) for n in n_values]
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise DomainError("n_values must be non-empty and increasing")
+    if n_values[0] < k:
+        raise DomainError(f"a k x n frame needs n >= k = {k}, got n = {n_values[0]}")
     reps = []
     for point, mult in target.atoms:
         norm = float(np.linalg.norm(point))

@@ -180,7 +180,10 @@ def test_project_and_compare(tmp_path, capsys):
     assert run(["project", "--mode", "lpball", "--k", "2", "--n", "40",
                 "--p", "inf", "--count", "50", "--seed", "3",
                 "--out", str(out)]) == 2
-    capsys.readouterr()
+    assert run(["project", "--mode", "product", "--k", "5", "--n", "3",
+                "--p", "2", "--count", "50", "--seed", "3",
+                "--out", str(out)]) == 2
+    assert "k must be <= n" in capsys.readouterr().err
     assert run(["compare", "--k", "1", "--p", "1", "--n-list", "20,40",
                 "--count", "1000", "--grid", "64", "--seed", "5"]) == 0
     doc = json.loads(capsys.readouterr().out)

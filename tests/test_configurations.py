@@ -163,9 +163,22 @@ def test_recover_rejects_garbage():
         recover_from_power_sums(bad, 6, 1e-3)
 
 
-def test_recover_round_trip_battery():
-    gen = np.random.default_rng(37)
-    for _ in range(30):
+@pytest.mark.parametrize("sums", [
+    power_sums([0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3], 3, 60),  # 7 > count_bound
+    power_sums([0.9], 3, 60) - power_sums([0.5], 3, 60),  # negative weight
+    0.5 * power_sums([0.9, 0.5], 3, 60),  # half-integer weights
+], ids=["too_many", "negative", "half"])
+def test_recover_rejects_non_power_sums(sums):
+    with pytest.raises(RecoveryFailure):
+        recover_from_power_sums(sums, 6, 1e-3)
+
+
+def criterion12_sequences(gen, count):
+    """Sorted sequences drawn as criterion 12 draws them: 1-4 distinct
+    values in [0.05, 0.95] at least 0.05 apart, multiplicities 1-2, at most
+    6 entries."""
+    out = []
+    for _ in range(count):
         n_distinct = int(gen.integers(1, 5))
         while True:
             vals = np.sort(gen.uniform(0.05, 0.95, n_distinct))[::-1]
@@ -174,10 +187,44 @@ def test_recover_round_trip_battery():
         mults = gen.integers(1, 3, n_distinct)
         while mults.sum() > 6:
             mults[gen.integers(0, n_distinct)] = 1
-        seq = np.repeat(vals, mults)
+        out.append(np.repeat(vals, mults))
+    return out
+
+
+def test_recover_round_trip_battery():
+    for seq in criterion12_sequences(np.random.default_rng(37), 30):
         rec = recover_from_power_sums(power_sums(seq, 3, 60), 6, 1e-3)
         assert len(rec) == len(seq)
         assert np.allclose(rec, seq, atol=1e-3)
+
+
+def test_recover_seed6_case11():
+    # a valid generator case on which a backtracking peeler gave up
+    seq = criterion12_sequences(np.random.default_rng(6), 12)[-1]
+    rec = recover_from_power_sums(power_sums(seq, 3, 60), 6, 1e-3)
+    assert len(rec) == len(seq)
+    assert np.allclose(rec, seq, atol=1e-3)
+
+
+def test_recover_noisy_sums():
+    # 1e-10 relative noise on every sum, on the round-trip battery's cases
+    noise = np.random.default_rng(38)
+    for seq in criterion12_sequences(np.random.default_rng(37), 30):
+        sums = power_sums(seq, 3, 60)
+        sums = sums * (1.0 + 1e-10 * noise.standard_normal(sums.size))
+        rec = recover_from_power_sums(sums, 6, 1e-3)
+        assert len(rec) == len(seq)
+        assert np.allclose(rec, seq, rtol=0.0, atol=1e-6)
+
+
+def test_recover_leaves_tail_unresolved():
+    rec = recover_from_power_sums(power_sums([0.9, 0.5, 1e-5], 3, 60), 6, 1e-3)
+    assert rec == pytest.approx([0.9, 0.5], abs=1e-9)
+
+
+def test_recover_full_multiplicity():
+    rec = recover_from_power_sums(power_sums([0.9] * 6, 3, 60), 6, 1e-3)
+    assert rec == pytest.approx([0.9] * 6, abs=1e-9)
 
 
 def brute_force_signed_equal(p: ColumnList, q: ColumnList, tol: float) -> bool:

@@ -13,7 +13,7 @@ from ldplab.rates import (
     rate_projected_measure,
     rate_truncated,
 )
-from ldplab.samplers import SeededRng, haar_stiefel
+from ldplab.samplers import SeededRng, haar_orthogonal, haar_stiefel
 
 
 def test_rate_finite_zero():
@@ -148,6 +148,45 @@ def test_orthogonal_partial_rates_non_decreasing_in_rows():
         for lo, hi in zip(raw, raw[1:]):
             assert hi >= lo - 1e-12
         assert report.converged
+
+
+def test_stacked_prefix_rates_match_rate_finite():
+    gen = np.random.default_rng(59)
+    for i in range(100):
+        k = int(gen.integers(1, 5))
+        m = int(gen.integers(1, 40))
+        if i % 10 == 0:
+            # the columns of a Haar frame: +inf from level m - k + 1 on
+            m = max(m, k)
+            a = haar_stiefel(SeededRng(59, i), k, m)
+        else:
+            a = gen.standard_normal((k, m))
+            a *= 0.95 / math.sqrt(max(operator_norm(gram(a)), 1e-12))
+        cl = ColumnList.from_columns(k, a)
+        _, report = rate_truncated(cl)
+        ref = [rate_finite(cl.prefix(ell)) for ell in range(1, cl.count + 1)]
+        assert np.allclose(report.partial_rates, ref, rtol=1e-12, atol=1e-12)
+        n = int(gen.integers(1, 12))
+        sq = gen.standard_normal((n, n))
+        sq *= 0.95 / math.sqrt(max(operator_norm(gram(sq)), 1e-12))
+        report = rate_orthogonal_truncated(sq, n)
+        ref = [rate_finite(sq[:j, :]) for j in range(1, n + 1)]
+        assert np.allclose(report.partial_rates, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_stacked_prefix_rates_infinite_where_frame_completes():
+    # the third column brings the first row to squared norm 1 - 5e-13, on
+    # the boundary within BOUNDARY_TOL; the fourth completes the second row
+    third = math.sqrt(0.64 - 5e-13)
+    cl = ColumnList.from_columns(2, np.array([[0.6, 0.0, third, 0.0],
+                                              [0.0, 0.6, 0.0, 0.8]]))
+    value, report = rate_truncated(cl)
+    unit = -0.5 * math.log(1 - 0.36)
+    assert report.partial_rates[:2] == pytest.approx([unit, 2 * unit], abs=1e-12)
+    assert report.partial_rates[2:] == [math.inf, math.inf]
+    assert value == math.inf and report.boundary
+    report = rate_orthogonal_truncated(haar_orthogonal(SeededRng(60), 6), 6)
+    assert report.partial_rates == [math.inf] * 6 and report.boundary
 
 
 def test_rate_midpoint_convexity():

@@ -90,6 +90,12 @@ def test_stiefel_batch_square_frames_orthonormal(n):
     assert gram_err.max() <= 1e-10
 
 
+def test_stiefel_batch_requires_k_le_n():
+    with pytest.raises(DomainError):
+        stiefel_batch(SeededRng(30).generator(), 3, 2, 4)
+    assert stiefel_batch(SeededRng(30).generator(), 2, 2, 4).shape == (4, 2, 2)
+
+
 def test_stiefel_corner_batch_requires_n_ge_ell_plus_k():
     with pytest.raises(DomainError):
         stiefel_corner_batch(SeededRng(29).generator(), 2, 3, 2, 10)

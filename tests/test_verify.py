@@ -203,6 +203,14 @@ def test_configuration_validation():
                               n_values=[30], samples_per_n=100)
 
 
+def test_configuration_requires_n_ge_k():
+    # an empty target with r > 1 passes every event check; the frames
+    # themselves cannot exist at n = 2 < k
+    with pytest.raises(DomainError):
+        run_ldp_configuration(SeededRng(1), 3, PointConfiguration.empty(3),
+                              r=2.0, rho=0.05, n_values=[2, 3], samples_per_n=1000)
+
+
 def test_dickey_check_accepts_and_rejects():
     rep = run_dickey_check(SeededRng(13), 1, 1, 10, 2 * 10**4)
     assert rep.min_pvalue > 0.01
