@@ -15,8 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
-import subprocess
 import sys
 
 import numpy as np
@@ -60,16 +58,6 @@ from .verify import LdpExperiment, run_clt_check, run_dickey_check, run_ldp_conf
 
 
 def _build_id() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except Exception:
-        pass
     return f"ldplab-{__version__}"
 
 

@@ -278,22 +278,50 @@ def _lp_check(dists_mu, dists_nu, eps: float) -> bool:
     return True
 
 
+def _lp_threshold(d_a: np.ndarray, d_b: np.ndarray) -> float:
+    """Smallest eps with ``_lp_violation(d_a, d_b, eps) <= eps`` in exact
+    arithmetic, given pre-sorted distance arrays.
+
+    The i-th radius admits eps iff some count c has eps >= d_b[c - 1] - d_a[i]
+    (c points of d_b within d_a[i] + eps) and eps >= (i + 1)/N_a - c/N_b.
+    The first bound rises with c and the second falls, so the best c sits
+    where d_b[c - 1] + c/N_b first reaches d_a[i] + (i + 1)/N_a.
+    """
+    n_a, n_b = d_a.size, d_b.size
+    count_a = np.arange(1, n_a + 1) / n_a
+    j = np.searchsorted(d_b + np.arange(1, n_b + 1) / n_b, d_a + count_a)
+    reach = np.append(d_b, np.inf)[j] - d_a
+    return float(np.max(np.minimum(reach, count_a - j / n_b)))
+
+
+def _check_lp_domain(dim: int, grid: int) -> None:
+    if dim > 3:
+        raise DomainError("the estimator is restricted to k <= 3")
+    if grid < 2:
+        raise DomainError("grid must be >= 2")
+
+
+# Midpoints this close to the exact threshold (relative to the largest
+# distance) are settled by _lp_check itself, so rounding in either
+# computation cannot change the bisection's path.
+_LP_TIE_BAND = 1e-9
+
+
 def levy_prokhorov(mu: EmpiricalMeasure, nu: EmpiricalMeasure, grid: int = 200) -> float:
     """Levy-Prokhorov distance estimate between two sample clouds.
 
     Tests mu(A) <= nu(A_eps) + eps (and symmetrically) over the family of
     Euclidean balls centered on a pooled subsample of at most ``grid``
-    points, and binary-searches the smallest admissible eps to resolution
-    0.5 / grid.  Monotone in the true distance and exact on point masses;
+    points.  The smallest admissible eps is computed exactly, one sorted
+    search per center and direction, and reported as the point where a
+    bisection of [0, 1] to resolution 0.5 / grid would stop (1.0 when it
+    exceeds 1).  Monotone in the true distance and exact on point masses;
     restricting to balls makes this a heuristic rather than the exact
     combinatorial optimum.
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch("sample clouds live in different dimensions")
-    if mu.dim > 3:
-        raise DomainError("the estimator is restricted to k <= 3")
-    if grid < 2:
-        raise DomainError("grid must be >= 2")
+    _check_lp_domain(mu.dim, grid)
 
     pooled = np.vstack([mu.points, nu.points])
     # deterministic subsample: lexicographic order, even stride
@@ -308,13 +336,24 @@ def levy_prokhorov(mu: EmpiricalMeasure, nu: EmpiricalMeasure, grid: int = 200) 
         dists_mu.append(np.sort(np.linalg.norm(mu.points - c, axis=1)))
         dists_nu.append(np.sort(np.linalg.norm(nu.points - c, axis=1)))
 
-    if _lp_check(dists_mu, dists_nu, 0.0):
+    threshold = max(
+        max(_lp_threshold(d_mu, d_nu), _lp_threshold(d_nu, d_mu))
+        for d_mu, d_nu in zip(dists_mu, dists_nu)
+    )
+    tie = _LP_TIE_BAND * max(1.0, max(d[-1] for d in dists_mu + dists_nu))
+
+    def admissible(eps: float) -> bool:
+        if abs(eps - threshold) <= tie:
+            return _lp_check(dists_mu, dists_nu, eps)
+        return eps > threshold
+
+    if admissible(0.0):
         return 0.0
     lo, hi = 0.0, 1.0
     resolution = 0.5 / grid
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if _lp_check(dists_mu, dists_nu, mid):
+        if admissible(mid):
             hi = mid
         else:
             lo = mid
@@ -334,6 +373,7 @@ def compare_ball_vs_product(
         raise DomainError("n_list must be increasing")
     if count < 10**3:
         raise DomainError("need count >= 1000 samples per cloud")
+    _check_lp_domain(k, grid)
     out = []
     for idx, n in enumerate(n_list):
         if k > n:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ldplab import __version__
 from ldplab.cli import main
 from ldplab.samplers import SeededRng, stiefel_batch
 
@@ -23,7 +24,7 @@ def test_sample_stiefel_row_shape(tmp_path, capsys):
     meta = json.loads((tmp_path / "s.csv.json").read_text())
     assert meta["row_shape"] == [2, 8]
     assert meta["schema_version"] == 1
-    assert "build_id" in meta
+    assert meta["build_id"] == f"ldplab-{__version__}"
 
 
 def test_sample_deterministic(tmp_path):
@@ -188,6 +189,9 @@ def test_project_and_compare(tmp_path, capsys):
                 "--count", "1000", "--grid", "64", "--seed", "5"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [d["n"] for d in doc] == [20, 40]
+    assert run(["compare", "--k", "4", "--p", "1", "--n-list", "20,40",
+                "--count", "1000", "--seed", "5"]) == 2
+    assert "k <= 3" in capsys.readouterr().err
 
 
 def test_project_law_mode(tmp_path):

@@ -7,6 +7,7 @@ from scipy.stats import kstest
 from ldplab.densities import sigma_p_squared
 from ldplab.errors import DimensionMismatch, DomainError, UnsupportedLaw
 from ldplab.linalg import ColumnList
+import ldplab.projections as projections
 from ldplab.projections import (
     CustomLaw,
     EmpiricalMeasure,
@@ -164,6 +165,137 @@ def test_levy_prokhorov_dimension_guard():
         levy_prokhorov(c, c)
 
 
+# Reference: the estimator as it was before the exact thresholds, a
+# bisection that runs the full check at every step.  levy_prokhorov must
+# return the very same float.
+def _oracle_violation(d_a: np.ndarray, d_b: np.ndarray, eps: float) -> float:
+    """max_r [ mu(B(c, r)) - nu(B(c, r + eps)) ] over all radii r at one
+    center, given pre-sorted distance arrays."""
+    n_a, n_b = d_a.size, d_b.size
+    count_a = np.arange(1, n_a + 1) / n_a
+    count_b = np.searchsorted(d_b, d_a + eps, side="right") / n_b
+    return float(np.max(count_a - count_b))
+
+
+def _oracle_check(dists_mu, dists_nu, eps: float) -> bool:
+    for d_mu, d_nu in zip(dists_mu, dists_nu):
+        if _oracle_violation(d_mu, d_nu, eps) > eps:
+            return False
+        if _oracle_violation(d_nu, d_mu, eps) > eps:
+            return False
+    return True
+
+
+def oracle_levy_prokhorov(mu: EmpiricalMeasure, nu: EmpiricalMeasure, grid: int = 200) -> float:
+    if mu.dim != nu.dim:
+        raise DimensionMismatch("sample clouds live in different dimensions")
+    if mu.dim > 3:
+        raise DomainError("the estimator is restricted to k <= 3")
+    if grid < 2:
+        raise DomainError("grid must be >= 2")
+
+    pooled = np.vstack([mu.points, nu.points])
+    # deterministic subsample: lexicographic order, even stride
+    order = np.lexsort(pooled.T[::-1])
+    pooled = pooled[order]
+    stride = max(1, int(math.ceil(pooled.shape[0] / grid)))
+    centers = pooled[::stride]
+
+    dists_mu = []
+    dists_nu = []
+    for c in centers:
+        dists_mu.append(np.sort(np.linalg.norm(mu.points - c, axis=1)))
+        dists_nu.append(np.sort(np.linalg.norm(nu.points - c, axis=1)))
+
+    if _oracle_check(dists_mu, dists_nu, 0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    resolution = 0.5 / grid
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if _oracle_check(dists_mu, dists_nu, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_levy_prokhorov_matches_bisection_random_clouds():
+    gen = np.random.default_rng(23)
+    for _ in range(64):
+        k = int(gen.integers(1, 4))
+        n_a, n_b = gen.choice(np.arange(50, 801), size=2, replace=False)
+        grid = int(gen.integers(2, 201))
+        a = EmpiricalMeasure.from_points(gen.standard_normal((n_a, k)))
+        b = EmpiricalMeasure.from_points(
+            gen.uniform(0.5, 2.0) * gen.standard_normal((n_b, k)) + gen.uniform(-1.0, 1.0, k))
+        assert levy_prokhorov(a, b, grid) == oracle_levy_prokhorov(a, b, grid)
+
+
+def test_levy_prokhorov_matches_bisection_lattice_clouds(monkeypatch):
+    # dyadic and decimal lattices put exact thresholds on or next to the
+    # bisection midpoints; those midpoints go through _lp_check
+    checked = []
+    check = projections._lp_check
+
+    def counting_check(dists_mu, dists_nu, eps):
+        checked.append(eps)
+        return check(dists_mu, dists_nu, eps)
+
+    monkeypatch.setattr(projections, "_lp_check", counting_check)
+    gen = np.random.default_rng(24)
+    for i in range(240):
+        q = (4, 8, 10, 16)[i % 4]
+        k = int(gen.integers(1, 4))
+        n_a, n_b = gen.integers(1, 40, size=2)
+        grid = int(gen.choice([2, 4, 5, 8, 10, 16, 20, 32]))
+        a = EmpiricalMeasure.from_points(gen.integers(-q, q + 1, (n_a, k)) / q)
+        b = EmpiricalMeasure.from_points(gen.integers(-q, q + 1, (n_b, k)) / q)
+        assert levy_prokhorov(a, b, grid) == oracle_levy_prokhorov(a, b, grid)
+    assert len(checked) >= 10
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_levy_prokhorov_matches_bisection_criterion_11(monkeypatch, k):
+    estimates = []
+    estimator = projections.levy_prokhorov
+
+    def recording(mu, nu, grid):
+        value = estimator(mu, nu, grid=grid)
+        estimates.append((mu, nu, grid, value))
+        return value
+
+    monkeypatch.setattr(projections, "levy_prokhorov", recording)
+    compare_ball_vs_product(SeededRng(1011), k, 1.0, [20, 80, 320], 6000, grid=192)
+    assert len(estimates) == 3
+    for mu, nu, grid, value in estimates:
+        assert (mu.count, nu.count, grid) == (6000, 6000, 192)
+        assert value == oracle_levy_prokhorov(mu, nu, grid)
+
+
+def test_levy_prokhorov_far_clouds_is_one():
+    a = EmpiricalMeasure.from_points(np.zeros((5, 2)))
+    b = EmpiricalMeasure.from_points(np.full((7, 2), 3.0))
+    assert levy_prokhorov(a, b, grid=64) == 1.0
+    assert oracle_levy_prokhorov(a, b, grid=64) == 1.0
+
+
+def test_levy_prokhorov_dyadic_point_masses():
+    # the midpoint 0.25 is exactly the threshold
+    a = EmpiricalMeasure.from_points(np.array([[0.0]]))
+    b = EmpiricalMeasure.from_points(np.array([[0.25]]))
+    assert levy_prokhorov(a, b, grid=4) == oracle_levy_prokhorov(a, b, grid=4) == 0.25
+
+
+def test_levy_prokhorov_unequal_counts_symmetric():
+    gen = np.random.default_rng(25)
+    a = EmpiricalMeasure.from_points(gen.standard_normal((37, 2)))
+    b = EmpiricalMeasure.from_points(0.5 + gen.standard_normal((91, 2)))
+    d_ab = levy_prokhorov(a, b, grid=50)
+    assert d_ab == levy_prokhorov(b, a, grid=50) == oracle_levy_prokhorov(a, b, grid=50)
+    assert d_ab > 0.0
+
+
 def test_compare_ball_vs_product_shape_and_determinism():
     out1 = compare_ball_vs_product(SeededRng(15), 1, 1.0, [20, 40], 1000, grid=64)
     out2 = compare_ball_vs_product(SeededRng(15), 1, 1.0, [20, 40], 1000, grid=64)
@@ -171,6 +303,17 @@ def test_compare_ball_vs_product_shape_and_determinism():
     assert out1 == out2
     with pytest.raises(DomainError):
         compare_ball_vs_product(SeededRng(15), 1, 1.0, [40, 20], 1000)
+
+
+def test_compare_ball_vs_product_validates_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew a cloud before validating the estimator's domain")
+
+    monkeypatch.setattr(projections, "project_lp_ball_batch", no_draws)
+    with pytest.raises(DomainError, match="k <= 3"):
+        compare_ball_vs_product(SeededRng(15), 4, 1.0, [20, 40], 1000)
+    with pytest.raises(DomainError, match="grid"):
+        compare_ball_vs_product(SeededRng(15), 1, 1.0, [20, 40], 1000, grid=1)
 
 
 def test_characteristic_function_gaussian_branch():
