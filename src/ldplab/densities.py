@@ -59,15 +59,7 @@ def log_corner_density(a, k: int, ell: int, n: int) -> float:
         raise DomainError(f"matrix shape {a.shape} does not match (k, ell)")
     if n < ell + k:
         raise DomainError("need n >= ell + k")
-    log_comp = log_det_complement(gram(a))
-    if log_comp == NEG_INF:
-        return NEG_INF
-    const = (
-        log_multivariate_gamma(k, n / 2.0)
-        - (k * ell / 2.0) * math.log(math.pi)
-        - log_multivariate_gamma(k, (n - ell) / 2.0)
-    )
-    return const + (n - ell - k - 1) / 2.0 * log_comp
+    return log_inverted_t_density(a, n - ell - k + 1)
 
 
 def log_wishart_density(s: SymmetricPSD, k: int, n: int) -> float:

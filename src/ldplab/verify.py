@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize
+from scipy.optimize import brentq
 from scipy.stats import ks_2samp, kstest
 
 from .configurations import PointConfiguration
@@ -84,7 +84,7 @@ class LdpExperiment:
                 f"got n = {self.n_values[0]}"
             )
         s_max = float(np.linalg.svd(self.target, compute_uv=False)[0])
-        if s_max < 1.0 and s_max + self.radius >= 1.0:
+        if s_max + self.radius >= 1.0:
             raise DomainError(
                 "ball must stay inside the support: largest singular value "
                 f"{s_max:.4g} plus radius reaches 1"
@@ -120,46 +120,75 @@ class SlopeReport:
         return [(n, lp, se) for n, lp, se in self.per_n]
 
 
+def _secular_point(s, cap, mu: float) -> np.ndarray:
+    """Per entry, the root x in [0, cap) of x - mu (s - x)(1 - x^2) = 0,
+    i.e. x / (1 - x^2) = mu (s - x), by Newton steps kept inside a bracket.
+
+    The cubic rises from -mu s at 0 to a positive value at cap = min(s, 1)
+    with slope at least 1, so the root is unique; mu s / (1 + mu) bounds it
+    from above because x / (1 - x^2) >= x.
+    """
+    lo = np.zeros_like(s)
+    hi = np.minimum(cap, mu * s / (1.0 + mu))
+    x = hi.copy()
+    for _ in range(100):
+        h = x - mu * (s - x) * (1.0 - x * x)
+        step = h / (1.0 + mu * (1.0 - x * x) + 2.0 * mu * x * (s - x))
+        moving = np.abs(step) > 1e-15
+        if not moving.any():
+            break
+        lo = np.where(h < 0.0, x, lo)
+        hi = np.where(h > 0.0, x, hi)
+        new = x - step
+        # bisect the entries whose step leaves the bracket; converged entries
+        # take their last sub-tolerance step
+        x = np.where(((new <= lo) | (new >= hi)) & moving, 0.5 * (lo + hi), new)
+    return x
+
+
 def min_rate_over_ball(target, radius: float) -> float:
     """Minimum of the finite-block rate over the closed Frobenius ball.
 
-    The scalar rate is even and increasing in |x|, so its minimum sits at
-    |x| = max(|a| - r, 0).  Larger blocks reduce to the singular values:
-    any block within Frobenius distance r has singular values within l2
-    distance r, and conversely, so the minimum is a small convex program
-    over the shifted singular values.
+    Any block within Frobenius distance r of the target has singular values
+    within l2 distance r of the target's singular values s, and conversely,
+    so the minimum is that of sum_i -1/2 log(1 - x_i^2) over x >= 0 with
+    ||x - s|| <= r.  It is 0 when ||s|| <= r, and +inf when ||(s - 1)_+||
+    >= r, since then every block of the ball has operator norm >= 1.  A
+    target of rank <= 1 (every 1 x 1, 1 x l and k x 1 target) has the
+    closed form rate([[s_1 - r]]).
+
+    Otherwise the objective is convex and separable, and the minimum sits on
+    the sphere ||x - s|| = r where, for a multiplier mu > 0, each x_i solves
+    the KKT equation x_i / (1 - x_i^2) = mu (s_i - x_i) (a secular equation,
+    as in the trust-region step of More & Sorensen 1983).  Each root grows
+    with mu, so ||s - x(mu)|| falls from ||s|| to ||(s - 1)_+||, and one
+    bracketed solve on log mu sets it to r.  The bracket: at mu = 1 - r/||s||
+    every x_i <= mu s_i, so the distance is still >= r; at the largest mu
+    that puts every x_i at or above min(s_i, 1) - g, with g = (r -
+    ||(s - 1)_+||) / sqrt(len(s)), the distance is <= r.  Both ends are
+    widened by a factor 2 to keep their signs clear of roundoff.
     """
-    target = as_matrix(target)
-    if np.linalg.norm(target) <= radius:
+    s = np.linalg.svd(as_matrix(target), compute_uv=False)
+    if np.linalg.norm(s) <= radius:
         return 0.0
-    k, ell = target.shape
-    if k == 1 and ell == 1:
-        return rate_finite([[max(abs(float(target[0, 0])) - radius, 0.0)]])
+    cap = np.minimum(s, 1.0)
+    over = float(np.linalg.norm(s - cap))
+    if over >= radius:
+        return math.inf
+    if not np.any(s[1:]):
+        return rate_finite([[float(s[0]) - radius]])
 
-    s = np.linalg.svd(target, compute_uv=False)
+    y = cap - (radius - over) / math.sqrt(s.size)
+    mu_lo = 0.5 * (1.0 - radius / float(np.linalg.norm(s)))
+    mu_hi = 2.0 * max(
+        float(np.max(np.maximum(y, 0.0) / ((1.0 - y * y) * (s - y)))), mu_lo)
 
-    def objective(sv):
-        sv = np.clip(sv, 0.0, None)
-        if np.max(sv) >= 1.0 - 1e-12:
-            return 1e30
-        return float(-0.5 * np.sum(np.log1p(-(sv**2))))
+    def excess(log_mu):
+        x = _secular_point(s, cap, math.exp(log_mu))
+        return float(np.linalg.norm(s - x)) - radius
 
-    shrink = max(0.0, 1.0 - radius / max(np.linalg.norm(s), 1e-300))
-    best = None
-    for x0 in (s * shrink, np.clip(s - radius / math.sqrt(s.size), 0.0, None)):
-        res = minimize(
-            objective,
-            x0,
-            method="SLSQP",
-            constraints=[{"type": "ineq",
-                          "fun": lambda sv: radius**2 - np.sum((sv - s) ** 2)}],
-            bounds=[(0.0, 1.0)] * s.size,
-        )
-        if res.success and (best is None or res.fun < best):
-            best = float(res.fun)
-    if best is None:
-        best = objective(s * shrink)
-    return best
+    log_mu = brentq(excess, math.log(mu_lo), math.log(mu_hi))
+    return rate_finite(np.diag(_secular_point(s, cap, math.exp(log_mu))))
 
 
 def _log_corner_ball_prob(n: int, a: float, radius: float) -> float:
@@ -180,7 +209,9 @@ def _log_corner_ball_prob(n: int, a: float, radius: float) -> float:
     return m + math.log(val)
 
 
-def _fit_slope(per_n):
+def _slope_report(per_n, rate_ref: float) -> SlopeReport:
+    """Weighted least-squares slope of -log P against n, compared with the
+    reference rate."""
     ns = np.array([float(n) for n, _, _ in per_n])
     ys = np.array([lp for _, lp, _ in per_n])
     ses = np.array([se for _, _, se in per_n])
@@ -191,85 +222,75 @@ def _fit_slope(per_n):
     n_bar = np.sum(weights * ns) / w_sum
     y_bar = np.sum(weights * ys) / w_sum
     var_n = np.sum(weights * (ns - n_bar) ** 2)
-    slope = np.sum(weights * (ns - n_bar) * (ys - y_bar)) / var_n
+    slope = -float(np.sum(weights * (ns - n_bar) * (ys - y_bar)) / var_n)
     slope_se = math.sqrt(1.0 / var_n) if np.all(ses > 0) else 0.0
-    return -float(slope), float(slope_se)
+    gap = abs(slope - rate_ref) / rate_ref if rate_ref > 0 else abs(slope)
+    return SlopeReport(per_n=per_n, fitted_slope=slope, slope_stderr=slope_se,
+                       rate_reference=rate_ref, relative_gap=gap)
 
 
-def _mc_batches(total: int, per_batch: int):
-    out = []
-    done = 0
-    while done < total:
-        size = min(per_batch, total - done)
-        out.append(size)
-        done += size
-    return out
+def _monte_carlo_slope(rng: SeededRng, k: int, n_values, samples: int,
+                       rate_ref: float, hits, threads) -> SlopeReport:
+    """Estimate log P at each n from ``hits(gen, size, n)``, the number of
+    hits among ``size`` k x n draws from ``gen``, and fit the slope.
 
-
-def _run_batches(rng, n_index, batch_sizes, sampler, threads):
-    """Run batch samplers on derived sub-streams; merge in fixed order."""
-
-    def one(args):
-        batch_index, size = args
-        gen = rng.child(n_index, batch_index)
-        return sampler(gen, size)
-
-    jobs = list(enumerate(batch_sizes))
+    Batch b at the i-th n draws from ``rng.child(i, b)`` and holds at most
+    ``BATCH_ELEMENTS / (n k)`` draws; batches run on ``worker_count(threads)``
+    threads and their counts are summed in batch order, so the estimate does
+    not depend on the thread count.  Refuses runs whose expected hit count at
+    the largest n is below 10, and any n with zero hits.
+    """
+    n_max = max(n_values)
+    if rate_ref * n_max > math.log(samples / 10.0):
+        raise InfeasibleExperiment(
+            f"expected hit count below 10 at n={n_max}: "
+            f"rate {rate_ref:.4g} * n exceeds log(samples/10)"
+        )
     workers = worker_count(threads)
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(j) for j in jobs]
-    return sum(results)
+    per_n = []
+    for idx, n in enumerate(n_values):
+        per_batch = max(1, BATCH_ELEMENTS // (n * k))
+        jobs = [(batch, min(per_batch, samples - start))
+                for batch, start in enumerate(range(0, samples, per_batch))]
 
+        def one(job):
+            batch, size = job
+            return hits(rng.child(idx, batch), size, n)
 
-def _mc_log_prob(hits: int, total: int):
-    p = hits / total
-    log_p = math.log(p)
-    stderr = math.sqrt((1.0 - p) / hits)
-    return log_p, stderr
+        if workers > 1 and len(jobs) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                count = sum(pool.map(one, jobs))
+        else:
+            count = sum(map(one, jobs))
+        if count == 0:
+            raise InfeasibleExperiment(
+                f"zero hits out of {samples} samples at n={n}"
+            )
+        p = count / samples
+        per_n.append((n, math.log(p), math.sqrt((1.0 - p) / count)))
+    return _slope_report(per_n, rate_ref)
 
 
 def run_ldp_corner(rng: SeededRng, exp: LdpExperiment, threads=None) -> SlopeReport:
     """Estimate P[corner block of a Haar frame lands in the target ball]
     for each n and fit the decay slope against the ball-infimum rate."""
     rate_ref = min_rate_over_ball(exp.target, exp.radius)
-    per_n = []
     if exp.method == "quadrature":
         a = float(exp.target[0, 0])
-        for n in exp.n_values:
-            per_n.append((n, _log_corner_ball_prob(n, a, exp.radius), 0.0))
-    else:
-        n_max = max(exp.n_values)
-        if rate_ref * n_max > math.log(exp.samples_per_n / 10.0):
-            raise InfeasibleExperiment(
-                f"expected hit count below 10 at n={n_max}: "
-                f"rate {rate_ref:.4g} * n exceeds log(samples/10)"
-            )
-        target = exp.target
-        r2 = exp.radius**2
-        for idx, n in enumerate(exp.n_values):
-            per_batch = max(1, BATCH_ELEMENTS // max(n * exp.k, 1))
-            sizes = _mc_batches(exp.samples_per_n, per_batch)
+        per_n = [(n, _log_corner_ball_prob(n, a, exp.radius), 0.0)
+                 for n in exp.n_values]
+        return _slope_report(per_n, rate_ref)
 
-            def sampler(gen, size, n=n):
-                corners = stiefel_corner_batch(gen, exp.k, n, exp.ell, size)
-                dist2 = np.sum((corners - target) ** 2, axis=(1, 2))
-                return int(np.sum(dist2 < r2))
+    target = exp.target
+    r2 = exp.radius**2
 
-            hits = _run_batches(rng, idx, sizes, sampler, threads)
-            if hits == 0:
-                raise InfeasibleExperiment(
-                    f"zero hits out of {exp.samples_per_n} samples at n={n}"
-                )
-            log_p, se = _mc_log_prob(hits, exp.samples_per_n)
-            per_n.append((n, log_p, se))
+    def hits(gen, size, n):
+        corners = stiefel_corner_batch(gen, exp.k, n, exp.ell, size)
+        dist2 = np.sum((corners - target) ** 2, axis=(1, 2))
+        return int(np.sum(dist2 < r2))
 
-    slope, slope_se = _fit_slope(per_n)
-    gap = abs(slope - rate_ref) / rate_ref if rate_ref > 0 else abs(slope)
-    return SlopeReport(per_n=per_n, fitted_slope=slope, slope_stderr=slope_se,
-                       rate_reference=rate_ref, relative_gap=gap)
+    return _monte_carlo_slope(rng, exp.k, exp.n_values, exp.samples_per_n,
+                              rate_ref, hits, threads)
 
 
 def configuration_hit_count(frames: np.ndarray, atoms, r: float, rho: float) -> int:
@@ -345,12 +366,6 @@ def run_ldp_configuration(
                 raise DomainError("atom balls must be pairwise disjoint")
 
     rate_ref = rate_configuration(target)
-    n_max = max(n_values)
-    if rate_ref * n_max > math.log(samples_per_n / 10.0):
-        raise InfeasibleExperiment(
-            f"expected hit count below 10 at n={n_max}: "
-            f"rate {rate_ref:.4g} * n exceeds log(samples/10)"
-        )
     for n in n_values:
         low, high = _configuration_event_bounds(target, r, rho, n)
         if not (low <= k <= high):
@@ -359,27 +374,11 @@ def run_ldp_configuration(
                 f"{k} but the event constrains it to [{low:.4g}, {high:.4g}]"
             )
 
-    per_n = []
-    for idx, n in enumerate(n_values):
-        per_batch = max(1, BATCH_ELEMENTS // max(n * k, 1))
-        sizes = _mc_batches(samples_per_n, per_batch)
+    def hits(gen, size, n):
+        return configuration_hit_count(stiefel_batch(gen, k, n, size), reps, r, rho)
 
-        def sampler(gen, size, n=n):
-            frames = stiefel_batch(gen, k, n, size)
-            return configuration_hit_count(frames, reps, r, rho)
-
-        hits = _run_batches(rng, idx, sizes, sampler, threads)
-        if hits == 0:
-            raise InfeasibleExperiment(
-                f"zero hits out of {samples_per_n} samples at n={n}"
-            )
-        log_p, se = _mc_log_prob(hits, samples_per_n)
-        per_n.append((n, log_p, se))
-
-    slope, slope_se = _fit_slope(per_n)
-    gap = abs(slope - rate_ref) / rate_ref if rate_ref > 0 else abs(slope)
-    return SlopeReport(per_n=per_n, fitted_slope=slope, slope_stderr=slope_se,
-                       rate_reference=rate_ref, relative_gap=gap)
+    return _monte_carlo_slope(rng, k, n_values, samples_per_n, rate_ref, hits,
+                              threads)
 
 
 @dataclass

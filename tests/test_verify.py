@@ -5,6 +5,7 @@ import pytest
 
 from ldplab.configurations import PointConfiguration
 from ldplab.errors import DomainError, InfeasibleExperiment
+from ldplab.rates import rate_finite
 from ldplab.samplers import SeededRng
 from ldplab.verify import (
     LdpExperiment,
@@ -35,7 +36,93 @@ def test_min_rate_over_ball_matrix():
     assert min_rate_over_ball(np.array([[0.2, 0.0], [0.0, 0.2]]), 0.5) < 1e-8
     # shrinking toward zero by r along the singular values
     val = min_rate_over_ball(np.diag([0.5, 0.0]), 0.1)
-    assert abs(val - (-0.5 * math.log(1 - 0.4**2))) < 1e-6
+    assert abs(val - (-0.5 * math.log(1 - 0.4**2))) < 1e-12
+
+
+def test_min_rate_over_ball_rank_one_is_exact():
+    assert min_rate_over_ball(np.diag([0.6, 0.0]), 0.25) == rate_finite([[0.6 - 0.25]])
+    v = np.array([0.3, -0.4, 0.5])
+    s1 = float(np.linalg.svd(v[None, :], compute_uv=False)[0])
+    assert min_rate_over_ball(v[None, :], 0.1) == rate_finite([[s1 - 0.1]])
+    s1 = float(np.linalg.svd(v[:, None], compute_uv=False)[0])
+    assert min_rate_over_ball(v[:, None], 0.1) == rate_finite([[s1 - 0.1]])
+
+
+def test_min_rate_over_ball_equal_singular_values():
+    # by symmetry every singular value moves by r / sqrt(d); here the upper
+    # end of the bracket, before widening, lands exactly on the sphere, and
+    # c = 1 puts the roots against the support boundary
+    for c, d, radius in ((0.5, 2, 0.1), (0.7, 3, 0.3), (1.0, 2, 1e-3), (1.0, 2, 1e-9)):
+        x = c - radius / math.sqrt(d)
+        expected = -0.5 * d * math.log1p(-(x**2))
+        val = min_rate_over_ball(c * np.eye(d), radius)
+        assert val == pytest.approx(expected, rel=1e-9)
+
+
+def test_min_rate_over_ball_outside_support_is_infinite():
+    # every block of the ball has a singular value >= 1.2 - 0.1
+    assert min_rate_over_ball(np.diag([1.2, 0.5]), 0.1) == math.inf
+    assert min_rate_over_ball([[1.2]], 0.1) == math.inf
+    # the ball touches the support boundary only at its edge
+    assert min_rate_over_ball(np.diag([1.25, 0.5]), 0.25) == math.inf
+    assert 0.0 < min_rate_over_ball(np.diag([1.25, 0.5]), 0.26) < math.inf
+
+
+def test_min_rate_over_ball_two_start_counterexample():
+    # a target where a two-start SLSQP search returned 1.32161e-4, below the
+    # constrained minimum
+    target = [[0.01873953072320854, -0.11631555503412164, -0.03227457411290575],
+              [-0.06303380239926708, -0.041637985043499026, 0.107535992210659]]
+    val = min_rate_over_ball(target, 0.16316575973639022)
+    assert val == pytest.approx(1.32179697095731e-4, rel=1e-9)
+
+
+def _random_block(gen, k, ell):
+    a = gen.standard_normal((k, ell))
+    a *= gen.uniform(0.05, 0.95) / np.linalg.norm(a, 2)
+    radius = float(gen.uniform(0.01, 0.99) * (1.0 - np.linalg.norm(a, 2)))
+    return a, radius
+
+
+def test_min_rate_over_ball_never_above_points_of_the_ball():
+    gen = np.random.default_rng(2024)
+    for _ in range(300):
+        a, radius = _random_block(gen, int(gen.integers(1, 4)), int(gen.integers(1, 4)))
+        val = min_rate_over_ball(a, radius)
+        for _ in range(10):
+            d = gen.standard_normal(a.shape)
+            d *= radius * gen.uniform() ** (1.0 / a.size) / np.linalg.norm(d)
+            assert val <= rate_finite(a + d) * (1.0 + 1e-12)
+
+
+def test_min_rate_over_ball_matches_circle_search():
+    # two singular values: the minimum lies on the circle ||x - s|| = r
+    # (clipped at 0, which stays inside the ball), found by a grid in the
+    # angle refined by a bounded scalar search; a minimum on the axis x_2 = 0
+    # is a kink of the angle profile, so that point is a candidate of its own
+    from scipy.optimize import minimize_scalar
+
+    gen = np.random.default_rng(2025)
+    step = 2.0 * math.pi / 20_000
+    theta = np.arange(20_000) * step
+    for _ in range(50):
+        a, radius = _random_block(gen, 2, int(gen.integers(2, 4)))
+        s = np.linalg.svd(a, compute_uv=False)
+        if np.linalg.norm(s) <= radius:
+            continue
+
+        def rate_at(t):
+            x = np.clip(s[:, None] + radius * np.array([np.cos(t), np.sin(t)]), 0.0, None)
+            return -0.5 * np.sum(np.log1p(-(x**2)), axis=0)
+
+        t0 = theta[np.argmin(rate_at(theta))]
+        best = minimize_scalar(lambda t: rate_at(np.array([t]))[0],
+                               bounds=(t0 - step, t0 + step),
+                               method="bounded", options={"xatol": 1e-12}).fun
+        if radius > s[1]:
+            best = min(best, rate_finite([[s[0] - math.sqrt(radius**2 - s[1] ** 2)]]))
+        val = min_rate_over_ball(a, radius)
+        assert val == pytest.approx(best, rel=1e-9)
 
 
 def test_experiment_validation():
@@ -48,6 +135,11 @@ def test_experiment_validation():
     with pytest.raises(DomainError):
         LdpExperiment(k=1, ell=1, target=[[0.1]], radius=0.05,
                       n_values=[20, 10], samples_per_n=10)
+    # the ball must not reach the support boundary, from inside or outside
+    for target in ([[0.9]], [[1.05]]):
+        with pytest.raises(DomainError, match="inside the support"):
+            LdpExperiment(k=1, ell=1, target=target, radius=0.2,
+                          n_values=[10, 20], samples_per_n=10)
     # the corner law needs n >= ell + k
     with pytest.raises(DomainError):
         LdpExperiment(k=2, ell=2, target=np.zeros((2, 2)), radius=0.05,
