@@ -36,7 +36,7 @@ from .errors import (
     LdpLabError,
     NumericalFailure,
 )
-from .linalg import ColumnList, SymmetricPSD, as_matrix
+from .linalg import ColumnList, as_matrix
 from .projections import (
     ProjectedLaw,
     RademacherLaw,
@@ -236,8 +236,7 @@ def _cmd_density(args) -> int:
     elif args.which == "wishart":
         if args.n is None:
             return _usage("wishart requires --n")
-        value = log_wishart_density(SymmetricPSD.from_matrix(matrix),
-                                    matrix.shape[0], args.n)
+        value = log_wishart_density(matrix, matrix.shape[0], args.n)
     else:  # pragma: no cover
         return _usage(f"unknown density {args.which}")
     print(json.dumps({"log_density": _json_safe(value)}))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .linalg import SymmetricPSD, as_matrix, gram, log_det_complement
+from .linalg import as_matrix, gram, log_det_complement, sym_eigenvalues
 
 NEG_INF = float("-inf")
 
@@ -62,18 +62,21 @@ def log_corner_density(a, k: int, ell: int, n: int) -> float:
     return log_inverted_t_density(a, n - ell - k + 1)
 
 
-def log_wishart_density(s: SymmetricPSD, k: int, n: int) -> float:
-    """Log density of the identity-scale Wishart law at ``s``; -inf when
-    ``s`` is not positive definite."""
-    if s.dim != k:
-        raise DomainError("matrix dimension does not match k")
-    if n < k:
-        raise DomainError("need n >= k")
-    lam = s.eigenvalues
-    if lam.size == 0 or lam[-1] <= 0.0:
+def log_wishart_density(s, k: int, n: int) -> float:
+    """Log density of the identity-scale Wishart law at the symmetric k x k
+    matrix ``s``; -inf when ``s`` is not positive definite."""
+    s = as_matrix(s)
+    if s.shape != (k, k):
+        raise DomainError(f"expected a {k} x {k} matrix, got shape {s.shape}")
+    if not 1 <= k <= n:
+        raise DomainError("need n >= k >= 1")
+    if np.max(np.abs(s - s.T)) > 1e-12 * max(1.0, float(np.max(np.abs(s)))):
+        raise DomainError("matrix is not symmetric")
+    lam = sym_eigenvalues(s)
+    if lam[-1] <= 0.0:
         return NEG_INF
     log_det = float(np.sum(np.log(lam)))
-    trace = float(np.trace(s.matrix))
+    trace = float(np.trace(s))
     return (
         (n - k - 1) / 2.0 * log_det
         - trace / 2.0

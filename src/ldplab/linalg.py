@@ -1,14 +1,15 @@
 """Dense symmetric linear algebra used throughout the package.
 
 Matrices are plain float64 numpy arrays.  A k x n matrix stands for k row
-vectors in R^n; its Gram matrix is A A^T.  Symmetric PSD matrices carry an
-eigendecomposition computed once at construction, so every downstream
-operation (operator norm, log-determinants, square roots) is a cheap lookup.
+vectors in R^n; its Gram matrix is A A^T.  Symmetric inputs are read through
+their lower triangle, as ``numpy.linalg.eigvalsh`` reads them.  Each public
+function validates its input once and computes the spectrum it needs; only
+:func:`psd_sqrt` runs a full eigendecomposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,98 +25,102 @@ NEG_EIG_TOL = 1e-10
 BOUNDARY_TOL = 1e-12
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d float64 array."""
+def _as_float(a, stacked: bool) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stacked and m.ndim > 2):
         raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
 
-@dataclass(frozen=True)
-class SymmetricPSD:
-    """Symmetric positive semi-definite matrix with cached spectrum.
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a finite 2-d float64 array."""
+    return _as_float(a, stacked=False)
 
-    ``eigenvalues`` are sorted non-increasing and clamped to [0, inf);
-    ``eigenvectors[:, i]`` corresponds to ``eigenvalues[i]``.
-    """
 
-    matrix: np.ndarray
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+def _as_square(s, stacked: bool = False) -> np.ndarray:
+    m = _as_float(s, stacked)
+    if m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch("matrix is not square")
+    if m.shape[-1] == 0:
+        raise DimensionMismatch("need at least one row")
+    return m
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
-    @classmethod
-    def from_matrix(cls, s) -> "SymmetricPSD":
-        s = as_matrix(s)
-        if s.shape[0] != s.shape[1]:
-            raise DimensionMismatch("matrix is not square")
-        # store the symmetric part exactly once
-        s = 0.5 * (s + s.T)
-        try:
-            vals, vecs = np.linalg.eigh(s)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-        vals = vals[::-1].copy()
-        vecs = vecs[:, ::-1].copy()
-        if vals.size and vals[-1] < -NEG_EIG_TOL * max(1.0, abs(vals[0])):
+def _check_psd(lam: np.ndarray) -> None:
+    # lam holds ascending spectra along its last axis; the first test is a
+    # cheap necessary condition for the second
+    if (lam < -NEG_EIG_TOL).any():
+        lo = lam[..., 0]
+        if (lo < -NEG_EIG_TOL * np.maximum(1.0, lam[..., -1])).any():
             raise NumericalFailure(
-                f"matrix is not PSD: smallest eigenvalue {vals[-1]:.3e}"
+                f"matrix is not PSD: smallest eigenvalue {lo.min():.3e}"
             )
-        np.clip(vals, 0.0, None, out=vals)
-        return cls(matrix=s, eigenvalues=vals, eigenvectors=vecs)
 
 
-def gram(a) -> SymmetricPSD:
+def _eigenvalues(s: np.ndarray) -> np.ndarray:
+    """Ascending spectra over the last two axes, clamped at 0."""
+    try:
+        lam = np.linalg.eigvalsh(s)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
+    _check_psd(lam)
+    return np.maximum(lam, 0.0)
+
+
+def gram(a) -> np.ndarray:
     """Gram matrix A A^T of the rows of ``a``.
 
     The accumulation order is the fixed row-major order of ``np.matmul``,
-    so repeated calls on identical input are bit-identical.
+    so repeated calls on identical input are bit-identical, and the result
+    is exactly symmetric.
     """
     a = as_matrix(a)
     if a.shape[0] < 1:
         raise DimensionMismatch("need at least one row")
-    if a.shape[1] == 0:
-        return SymmetricPSD.from_matrix(np.zeros((a.shape[0], a.shape[0])))
-    return SymmetricPSD.from_matrix(a @ a.T)
+    return a @ a.T
 
 
-def sym_eigenvalues(s: SymmetricPSD) -> np.ndarray:
-    """Eigenvalues of ``s``, sorted non-increasing."""
-    return s.eigenvalues.copy()
+def sym_eigenvalues(s) -> np.ndarray:
+    """Eigenvalues of the symmetric PSD matrix ``s``, sorted non-increasing."""
+    return _eigenvalues(_as_square(s))[::-1]
 
 
-def operator_norm(s: SymmetricPSD) -> float:
-    """Largest eigenvalue of a PSD matrix."""
-    if s.eigenvalues.size == 0:
-        return 0.0
-    return float(s.eigenvalues[0])
+def operator_norm(s) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix."""
+    return float(_eigenvalues(_as_square(s))[-1])
 
 
-def log_det_complement(s: SymmetricPSD) -> float:
-    """log det(I - S) = sum_i log(1 - lambda_i), or -inf.
+def log_det_complement(s):
+    """log det(I - S) = sum_i log(1 - lambda_i) for symmetric PSD S, or -inf.
 
-    Returns -inf as soon as the top eigenvalue reaches 1 within
-    ``BOUNDARY_TOL``; Haar-orthonormal Gram matrices land there exactly.
+    ``s`` is one k x k matrix, giving a float, or a stack (..., k, k),
+    giving an array.  The value is -inf as soon as the top eigenvalue
+    reaches 1 within ``BOUNDARY_TOL``; Haar-orthonormal Gram matrices land
+    there exactly.  This is the package's one boundary rule: every rate is
+    -1/2 times this value.
     """
-    lam = s.eigenvalues
-    if lam.size == 0:
-        return 0.0
-    if lam[0] >= 1.0 - BOUNDARY_TOL:
-        return float("-inf")
-    return float(np.sum(np.log1p(-lam)))
+    edge = 1.0 - BOUNDARY_TOL
+    # clamped below 1, a boundary member of a stack cannot reach log1p(-1);
+    # its value is set to -inf afterwards
+    lam = np.minimum(_eigenvalues(_as_square(s, stacked=True)), edge)
+    logs = np.log1p(-lam).sum(axis=-1, keepdims=True)
+    logs[lam[..., -1:] == edge] = -np.inf
+    return float(logs[0]) if logs.ndim == 1 else logs[..., 0]
 
 
-def psd_sqrt(s: SymmetricPSD) -> SymmetricPSD:
+def psd_sqrt(s) -> np.ndarray:
     """Symmetric PSD square root R with R R = S."""
-    root = np.sqrt(s.eigenvalues)
-    r = (s.eigenvectors * root) @ s.eigenvectors.T
-    return SymmetricPSD.from_matrix(r)
+    s = _as_square(s)
+    try:
+        vals, vecs = np.linalg.eigh(s)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
+    _check_psd(vals)
+    # R = B B^T with B = V diag(lambda^(1/4)), exactly symmetric
+    b = vecs * np.sqrt(np.sqrt(np.maximum(vals, 0.0)))
+    return b @ b.T
 
 
 @dataclass(frozen=True)

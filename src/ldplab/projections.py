@@ -16,7 +16,7 @@ from scipy.interpolate import CubicSpline
 
 from .densities import sigma_p_squared
 from .errors import DimensionMismatch, DomainError, UnsupportedLaw
-from .linalg import ColumnList, SymmetricPSD, as_matrix, gram, operator_norm, psd_sqrt
+from .linalg import ColumnList, as_matrix, gram, operator_norm, psd_sqrt
 from .samplers import (
     PGaussianParams,
     SeededRng,
@@ -177,8 +177,8 @@ class ProjectedLaw:
         """(I - A A^T)^(1/2) with tiny negative eigenvalues clamped to 0."""
         comp = np.eye(self.a.dim)
         if self.a.count:
-            comp = comp - gram(self.a.matrix()).matrix
-        return psd_sqrt(SymmetricPSD.from_matrix(comp)).matrix
+            comp = comp - gram(self.a.matrix())
+        return psd_sqrt(comp)
 
 
 def _sample_projected_gen(
@@ -251,7 +251,7 @@ def characteristic_function(law: ProjectedLaw, t) -> complex:
     t = np.asarray(t, dtype=np.float64).reshape(law.a.dim)
     comp = np.eye(law.a.dim)
     if law.a.count:
-        comp = comp - gram(law.a.matrix()).matrix
+        comp = comp - gram(law.a.matrix())
     quad_form = float(t @ comp @ t)
     value = math.exp(-0.5 * law.noise_variance * max(quad_form, 0.0))
     if law.a.count:

@@ -32,9 +32,9 @@ INF = float("inf")
 # sequence tolerates this much backsliding before flagging a failure.
 MONOTONE_SLACK = 1e-9
 
-# Gram operator norms in [1 - 1e-12, 1 + 1e-10] count as "on the boundary";
+# Gram operator norms in [BOUNDARY_LO, 1 + 1e-10] count as "on the boundary";
 # the rate there is +inf but the report keeps the case distinguishable.
-BOUNDARY_LO = 1.0 - 1e-12
+BOUNDARY_LO = 1.0 - BOUNDARY_TOL
 BOUNDARY_HI = 1.0 + 1e-10
 
 
@@ -59,24 +59,7 @@ class TruncationReport:
 
 def rate_finite(a) -> float:
     """-1/2 log det(I - A A^T) for a finite block; +inf when ||A A^T|| >= 1."""
-    a = as_matrix(a)
-    log_comp = log_det_complement(gram(a))
-    if log_comp == -INF:
-        return INF
-    return -0.5 * log_comp
-
-
-def _spectral_rates(lam) -> np.ndarray:
-    """Rates of Gram matrices from their ascending spectra (last axis).
-
-    The rule of :func:`ldplab.linalg.log_det_complement`: eigenvalues are
-    clamped at 0 and the rate is +inf once the top one is within
-    ``BOUNDARY_TOL`` of 1.
-    """
-    lam = np.clip(lam, 0.0, None)
-    edge = lam[..., -1] >= 1.0 - BOUNDARY_TOL
-    logs = np.sum(np.log1p(-np.where(edge[..., None], 0.0, lam)), axis=-1)
-    return np.where(edge, INF, -0.5 * logs)
+    return -0.5 * log_det_complement(gram(a))
 
 
 def _certified_monotone(raw_rates, slack=MONOTONE_SLACK):
@@ -107,7 +90,7 @@ def rate_truncated(a: ColumnList, max_level: int | None = None, tol: float = MON
     # products, and one batched eigensolve over the stack
     cols = a.columns[:, :levels].T
     grams = np.cumsum(cols[:, :, None] * cols[:, None, :], axis=0)
-    raw = _spectral_rates(np.linalg.eigvalsh(grams)).tolist()
+    raw = (-0.5 * log_det_complement(grams)).tolist()
     partial = _certified_monotone(raw, slack=tol)
 
     full_norm = operator_norm(gram(a.matrix())) if n_cols else 0.0
@@ -144,8 +127,9 @@ def rate_orthogonal_truncated(m, k_max: int) -> TruncationReport:
     # the Gram matrix of the first k rows is the leading k x k block of one
     # Gram matrix
     g = m[:levels] @ m[:levels].T
-    spectra = [np.linalg.eigvalsh(g[:k, :k]) for k in range(1, levels + 1)]
-    partial = _certified_monotone([float(_spectral_rates(lam)) for lam in spectra])
+    partial = _certified_monotone(
+        [-0.5 * log_det_complement(g[:k, :k]) for k in range(1, levels + 1)]
+    )
     return TruncationReport(
         truncation_level=levels,
         partial_rates=partial,
@@ -153,7 +137,7 @@ def rate_orthogonal_truncated(m, k_max: int) -> TruncationReport:
         tail_bound=float(np.sum(m[levels:, :] ** 2)),
         boundary=bool(
             partial and math.isinf(partial[-1])
-            and BOUNDARY_LO <= spectra[-1][-1] <= BOUNDARY_HI
+            and BOUNDARY_LO <= operator_norm(g) <= BOUNDARY_HI
         ),
     )
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import SymmetricPSD
 
 
 @dataclass(frozen=True)
@@ -102,11 +101,12 @@ def wishart_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.nd
     return low @ np.swapaxes(low, 1, 2)
 
 
-def wishart(rng: SeededRng, k: int, n: int) -> SymmetricPSD:
-    """H H^T for a k x n standard Gaussian H (identity scale matrix)."""
+def wishart(rng: SeededRng, k: int, n: int) -> np.ndarray:
+    """k x k array H H^T for a k x n standard Gaussian H (identity scale
+    matrix)."""
     if not 1 <= k <= n:
         raise DomainError("need n >= k >= 1")
-    return SymmetricPSD.from_matrix(wishart_batch(rng.generator(), k, n, 1)[0])
+    return wishart_batch(rng.generator(), k, n, 1)[0]
 
 
 def p_gaussian_batch(gen: np.random.Generator, p: float, shape) -> np.ndarray:

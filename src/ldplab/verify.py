@@ -353,6 +353,8 @@ def run_ldp_configuration(
         raise DomainError("n_values must be non-empty and increasing")
     if n_values[0] < k:
         raise DomainError(f"a k x n frame needs n >= k = {k}, got n = {n_values[0]}")
+    if samples_per_n < 1:
+        raise DomainError("samples_per_n must be >= 1")
     reps = []
     for point, mult in target.atoms:
         norm = float(np.linalg.norm(point))

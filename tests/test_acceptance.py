@@ -29,7 +29,7 @@ from ldplab.densities import (
     log_wishart_density,
     sigma_p_squared,
 )
-from ldplab.linalg import ColumnList, SymmetricPSD, gram, operator_norm
+from ldplab.linalg import ColumnList, gram, operator_norm
 from ldplab.projections import (
     ProjectedLaw,
     characteristic_function,
@@ -115,7 +115,7 @@ def test_criterion_03_density_normalizations():
     results["corner l=2"] = total
 
     total, _ = quad(
-        lambda x: math.exp(log_wishart_density(SymmetricPSD.from_matrix(np.array([[x]])), 1, 3)),
+        lambda x: math.exp(log_wishart_density(np.array([[x]]), 1, 3)),
         0, 60, epsabs=1e-10, limit=300)
     results["wishart k=1"] = total
 

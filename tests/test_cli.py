@@ -236,3 +236,12 @@ def test_bundled_quadrature_config(tmp_path):
     assert run(["verify", "--config", str(cfg), "--out-prefix", str(prefix)]) == 0
     report = json.loads((tmp_path / "bundled.json").read_text())["report"]
     assert report["relative_gap"] < 0.15
+
+
+def test_density_wishart_rejects_non_symmetric_matrix(capsys):
+    assert run(["density", "--which", "wishart", "--n", "3",
+                "--at", "[[1, 0.5], [0.1, 1]]"]) == 2
+    assert "not symmetric" in capsys.readouterr().err
+    assert run(["density", "--which", "wishart", "--n", "3",
+                "--at", "[[1, 0.5], [0.5, 1]]"]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["log_density"])

@@ -67,8 +67,8 @@ def test_config_to_matrix_empty_and_multiplicity():
 def test_config_to_matrix_gram_invariant_under_resign():
     mu1 = PointConfiguration.from_atoms(2, [((0.5, 0.2), 1), ((0.1, -0.4), 2)])
     mu2 = PointConfiguration.from_atoms(2, [((-0.5, -0.2), 1), ((-0.1, 0.4), 2)])
-    g1 = gram(config_to_matrix(mu1).matrix()).matrix
-    g2 = gram(config_to_matrix(mu2).matrix()).matrix
+    g1 = gram(config_to_matrix(mu1).matrix())
+    g2 = gram(config_to_matrix(mu2).matrix())
     assert np.allclose(g1, g2)
 
 

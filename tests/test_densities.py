@@ -15,9 +15,8 @@ from ldplab.densities import (
     log_wishart_density,
     sigma_p_squared,
 )
-from ldplab.errors import DomainError
-from ldplab.linalg import SymmetricPSD
-from ldplab.samplers import PGaussianParams, SeededRng, p_gaussian
+from ldplab.errors import DimensionMismatch, DomainError
+from ldplab.samplers import PGaussianParams, SeededRng, p_gaussian, wishart_batch
 
 
 def test_log_gamma_matches_integer_factorials():
@@ -106,20 +105,41 @@ def test_corner_domain_error():
 
 
 def test_wishart_chi_squared_point():
-    s = SymmetricPSD.from_matrix(np.array([[2.0]]))
+    s = np.array([[2.0]])
     assert abs(log_wishart_density(s, 1, 2) - math.log(math.exp(-1.0) / 2.0)) < 1e-12
 
 
 def test_wishart_normalization():
     total, _ = quad(
-        lambda x: math.exp(log_wishart_density(SymmetricPSD.from_matrix(np.array([[x]])), 1, 3)),
+        lambda x: math.exp(log_wishart_density(np.array([[x]]), 1, 3)),
         0, 50, epsabs=1e-10, limit=200)
     assert abs(total - 1.0) < 1e-6
 
 
 def test_wishart_singular_support():
-    s = SymmetricPSD.from_matrix(np.diag([1.0, 0.0]))
+    s = np.diag([1.0, 0.0])
     assert log_wishart_density(s, 2, 3) == -math.inf
+
+
+def test_wishart_rejects_non_symmetric_matrix():
+    with pytest.raises(DomainError, match="not symmetric"):
+        log_wishart_density(np.array([[1.0, 0.5], [0.1, 1.0]]), 2, 3)
+    # the tolerance scales with the largest entry: 5e-12 > 1e-12 * 4 > 3e-12
+    s = np.array([[4.0, 1.0], [1.0 + 5e-12, 4.0]])
+    with pytest.raises(DomainError, match="not symmetric"):
+        log_wishart_density(s, 2, 3)
+    s[1, 0] = 1.0 + 3e-12
+    assert math.isfinite(log_wishart_density(s, 2, 3))
+
+
+def test_wishart_density_finite_on_batch_draws():
+    for s in wishart_batch(SeededRng(29).generator(), 3, 7, 50):
+        assert math.isfinite(log_wishart_density(s, 3, 7))
+
+
+def test_inverted_t_rejects_zero_rows():
+    with pytest.raises(DimensionMismatch):
+        log_inverted_t_density(np.zeros((0, 3)), 5)
 
 
 def test_p_gaussian_density_points():

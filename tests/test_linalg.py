@@ -1,12 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ldplab.errors import DimensionMismatch
+from ldplab.errors import DimensionMismatch, NumericalFailure
 from ldplab.linalg import (
     ColumnList,
-    SymmetricPSD,
     gram,
     log_det_complement,
     operator_norm,
@@ -17,32 +17,28 @@ from ldplab.linalg import (
 from ldplab.samplers import SeededRng, haar_stiefel
 
 
-def spd(mat):
-    return SymmetricPSD.from_matrix(mat)
-
-
 def test_gram_identity():
     s = gram(np.eye(2))
-    assert np.allclose(s.matrix, np.eye(2))
+    assert np.allclose(s, np.eye(2))
 
 
 def test_gram_unit_row():
     s = gram(np.array([[0.6, 0.8]]))
-    assert s.matrix.shape == (1, 1)
-    assert abs(s.matrix[0, 0] - 1.0) < 1e-15
+    assert s.shape == (1, 1)
+    assert abs(s[0, 0] - 1.0) < 1e-15
 
 
 def test_gram_orthonormal_rows():
     a = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-    assert np.allclose(gram(a).matrix, np.eye(2), atol=1e-15)
+    assert np.allclose(gram(a), np.eye(2), atol=1e-15)
 
 
 def test_eigenvalues_sorted():
-    assert np.allclose(sym_eigenvalues(spd(np.diag([3.0, 1.0, 2.0]))), [3, 2, 1])
+    assert np.allclose(sym_eigenvalues(np.diag([3.0, 1.0, 2.0])), [3, 2, 1])
 
 
 def test_eigenvalues_2x2_analytic():
-    vals = sym_eigenvalues(spd(np.array([[2.0, 1.0], [1.0, 2.0]])))
+    vals = sym_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert np.allclose(vals, [3.0, 1.0])
 
 
@@ -73,45 +69,84 @@ def test_eigenvalues_match_charpoly_bisection():
     gen = np.random.default_rng(7)
     a = gen.standard_normal((5, 9))
     s = gram(a)
-    oracle = _charpoly_roots_bisection(s.matrix)
+    oracle = _charpoly_roots_bisection(s)
     assert len(oracle) == 5
     assert np.allclose(sym_eigenvalues(s), oracle, atol=1e-7, rtol=1e-7)
 
 
 def test_log_det_complement_zero():
-    assert log_det_complement(spd(np.zeros((3, 3)))) == 0.0
+    assert log_det_complement(np.zeros((3, 3))) == 0.0
 
 
 def test_log_det_complement_diag():
-    val = log_det_complement(spd(np.diag([0.5, 0.5])))
+    val = log_det_complement(np.diag([0.5, 0.5]))
     assert abs(val - 2 * math.log(0.5)) < 1e-14
 
 
 def test_log_det_complement_boundary():
-    assert log_det_complement(spd(np.diag([1.0, 0.3]))) == -math.inf
-    assert log_det_complement(spd(np.diag([1.0 - 1e-13, 0.3]))) == -math.inf
+    assert log_det_complement(np.diag([1.0, 0.3])) == -math.inf
+    assert log_det_complement(np.diag([1.0 - 1e-13, 0.3])) == -math.inf
+
+
+def test_log_det_complement_stack_matches_single_calls():
+    gen = np.random.default_rng(31)
+    for k in (1, 2, 4):
+        a = gen.standard_normal((6, k, k + 2))
+        a *= 0.9 / np.sqrt(np.linalg.eigvalsh(a @ np.swapaxes(a, 1, 2))[:, -1:, None])
+        stack = a @ np.swapaxes(a, 1, 2)
+        # member 3 gets orthonormal rows: its top eigenvalue is 1
+        q, _ = np.linalg.qr(gen.standard_normal((k + 2, k)))
+        stack[3] = q.T @ q
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = log_det_complement(stack)
+            singles = [log_det_complement(s) for s in stack]
+        assert stacked.shape == (6,)
+        assert np.isneginf(stacked[3]) and np.isneginf(singles[3])
+        assert np.all(np.isfinite(np.delete(stacked, 3)))
+        assert np.allclose(stacked, singles, rtol=1e-12, atol=0.0)
+        assert log_det_complement(stack.reshape(2, 3, k, k)).shape == (2, 3)
+
+
+def test_log_det_complement_validates_stacks():
+    with pytest.raises(DimensionMismatch):
+        log_det_complement(np.zeros((3, 2, 3)))
+    with pytest.raises(DimensionMismatch):
+        log_det_complement(np.zeros(4))
+    with pytest.raises(ValueError):
+        log_det_complement(np.full((2, 2, 2), np.nan))
+    with pytest.raises(NumericalFailure):
+        log_det_complement(np.stack([np.eye(2) * 0.5, np.diag([0.5, -0.1])]))
+
+
+def test_psd_sqrt_rejects_non_psd():
+    with pytest.raises(NumericalFailure):
+        psd_sqrt(np.diag([1.0, -0.1]))
+    with pytest.raises(DimensionMismatch):
+        psd_sqrt(np.zeros((2, 3)))
 
 
 def test_psd_sqrt_identity():
-    assert np.allclose(psd_sqrt(spd(np.eye(3))).matrix, np.eye(3))
+    assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
 
 
 def test_psd_sqrt_diag():
-    r = psd_sqrt(spd(np.diag([4.0, 9.0])))
-    assert np.allclose(r.matrix, np.diag([2.0, 3.0]))
+    r = psd_sqrt(np.diag([4.0, 9.0]))
+    assert np.allclose(r, np.diag([2.0, 3.0]))
 
 
 def test_psd_sqrt_self_consistency():
     gen = np.random.default_rng(11)
     s = gram(gen.standard_normal((4, 7)))
     r = psd_sqrt(s)
-    resid = np.linalg.norm(r.matrix @ r.matrix - s.matrix)
-    assert resid <= 1e-9 * (1.0 + np.linalg.norm(s.matrix))
+    resid = np.linalg.norm(r @ r - s)
+    assert resid <= 1e-9 * (1.0 + np.linalg.norm(s))
+    assert np.array_equal(r, r.T)
 
 
 def test_operator_norm():
-    assert operator_norm(spd(np.zeros((2, 2)))) == 0.0
-    assert abs(operator_norm(spd(np.diag([0.2, 0.9]))) - 0.9) < 1e-15
+    assert operator_norm(np.zeros((2, 2))) == 0.0
+    assert abs(operator_norm(np.diag([0.2, 0.9])) - 0.9) < 1e-15
 
 
 def test_operator_norm_haar_gram():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ldplab.configurations import PointConfiguration, config_from_stiefel, config_to_matrix
-from ldplab.errors import DomainError
+from ldplab.errors import DimensionMismatch, DomainError
 from ldplab.linalg import ColumnList, gram, operator_norm
 from ldplab.rates import (
     rate_configuration,
@@ -28,6 +28,11 @@ def test_rate_finite_scalar_row():
 def test_rate_finite_boundary_row():
     assert rate_finite(np.array([[1.0]])) == math.inf
     assert rate_finite(np.array([[0.8, 0.8]])) == math.inf
+
+
+def test_rate_finite_rejects_zero_rows():
+    with pytest.raises(DimensionMismatch):
+        rate_finite(np.zeros((0, 3)))
 
 
 def test_rate_truncated_empty():

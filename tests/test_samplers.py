@@ -138,12 +138,12 @@ def test_orthogonal_rows_match_stiefel_rows():
 
 
 def test_wishart_chi_squared_mean():
-    draws = np.array([wishart(SeededRng(11, i), 1, 2).matrix[0, 0] for i in range(10**4)])
+    draws = np.array([wishart(SeededRng(11, i), 1, 2)[0, 0] for i in range(10**4)])
     assert abs(draws.mean() - 2.0) < 0.05
 
 
 def test_wishart_trace_expectation():
-    traces = np.array([np.trace(wishart(SeededRng(12, i), 2, 5).matrix) for i in range(10**4)])
+    traces = np.array([np.trace(wishart(SeededRng(12, i), 2, 5)) for i in range(10**4)])
     assert abs(traces.mean() - 10.0) < 0.3
 
 
@@ -161,7 +161,7 @@ def test_wishart_batch_matches_gaussian_gram():
 
 
 def test_wishart_scalar_nonnegative():
-    assert wishart(SeededRng(13), 1, 1).matrix[0, 0] >= 0.0
+    assert wishart(SeededRng(13), 1, 1)[0, 0] >= 0.0
 
 
 def test_p_gaussian_variances():

@@ -350,3 +350,12 @@ def test_slope_report_serialization():
     assert {"per_n", "fitted_slope", "rate_reference", "relative_gap"} <= set(doc)
     rows = rep.to_csv_rows()
     assert len(rows) == 2 and len(rows[0]) == 3
+
+
+def test_configuration_rejects_nonpositive_sample_count():
+    # refused before the expected-hit guard, which takes log(samples / 10)
+    for samples in (0, -5):
+        with pytest.raises(DomainError, match="samples_per_n"):
+            run_ldp_configuration(SeededRng(1), 1, PointConfiguration.empty(1),
+                                  r=0.5, rho=0.05, n_values=[10, 20],
+                                  samples_per_n=samples)
