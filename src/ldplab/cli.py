@@ -62,20 +62,7 @@ def _build_id() -> str:
 
 
 def _write_csv(path: str, rows) -> None:
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
-
-
-def _read_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    return np.asarray(rows, dtype=np.float64)
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",")
 
 
 def _write_sidecar(path: str, payload: dict) -> None:
@@ -107,8 +94,6 @@ def _usage(message: str) -> int:
 def _cmd_sample(args) -> int:
     rng = SeededRng(args.seed, args.stream)
     gen = rng.generator()
-    if args.count < 1:
-        return _usage("count must be >= 1")
     if args.dist == "stiefel":
         if args.k is None or args.n is None:
             return _usage("stiefel requires --k and --n")
@@ -122,24 +107,18 @@ def _cmd_sample(args) -> int:
     elif args.dist == "wishart":
         if args.k is None or args.n is None:
             return _usage("wishart requires --k and --n")
-        if args.n < args.k:
-            return _usage("wishart requires n >= k")
         draws = wishart_batch(gen, args.k, args.n, args.count)
         shape = [args.k, args.k]
     elif args.dist == "pgaussian":
         if args.p is None:
             return _usage("pgaussian requires --p")
-        width = args.n or 1
-        PGaussianParams(args.p)
+        width = 1 if args.n is None else args.n
         draws = p_gaussian_batch(gen, args.p, (args.count, 1, width))
         shape = [1, width]
     elif args.dist == "lpball":
         if args.p is None or args.n is None:
             return _usage("lpball requires --p and --n")
-        if math.isinf(args.p):
-            return _usage("lpball requires finite p")
-        scale = args.scale if args.scale is not None else args.n ** (1.0 / args.p)
-        draws = lp_ball_batch(gen, args.p, args.n, scale, args.count)[:, None, :]
+        draws = lp_ball_batch(gen, args.p, args.n, args.scale, args.count)[:, None, :]
         shape = [1, args.n]
     else:  # pragma: no cover - argparse restricts choices
         return _usage(f"unknown distribution {args.dist}")
@@ -171,7 +150,7 @@ def _load_matrix(args) -> np.ndarray:
     if args.json_file:
         with open(args.json_file) as fh:
             return as_matrix(json.load(fh))
-    rows = _read_csv(args.csv)
+    rows = np.loadtxt(args.csv, delimiter=",", ndmin=2)
     if rows.size == 0:
         raise DomainError("CSV file holds no rows")
     sidecar = args.csv + ".json"
@@ -253,8 +232,6 @@ def _product_law_from_doc(doc):
 
 def _cmd_project(args) -> int:
     rng = SeededRng(args.seed, args.stream)
-    if args.count < 1:
-        return _usage("count must be >= 1")
     if args.mode in ("lpball", "product"):
         if args.k is None or args.n is None or args.p is None:
             return _usage(f"{args.mode} requires --k, --n and --p")
@@ -304,7 +281,7 @@ def _cmd_compare(args) -> int:
     doc = [{"n": n, "lp_distance": d} for n, d in pairs]
     print(json.dumps(doc, indent=2))
     if args.out:
-        _write_csv(args.out, [(float(n), d) for n, d in pairs])
+        _write_csv(args.out, pairs)
         _write_sidecar(args.out, {
             "command": "compare", "k": args.k, "p": _json_safe(args.p),
             "n_list": n_list, "count": args.count, "grid": args.grid,
@@ -334,8 +311,6 @@ def _cmd_verify(args) -> int:
     unknown = set(doc) - allowed
     if unknown:
         return _usage(f"unknown config fields: {sorted(unknown)}")
-    if not doc.get("n_values"):
-        return _usage("n_values must be non-empty")
     rng = SeededRng(int(doc["seed"]), int(doc.get("stream", 0)))
     if kind == "ldp_corner":
         exp = LdpExperiment(
@@ -362,34 +337,32 @@ def _cmd_verify(args) -> int:
         json.dump({"config": doc, "report": report.to_json_dict(),
                    "build_id": _build_id()}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_csv(prefix + ".csv", report.to_csv_rows())
+    _write_csv(prefix + ".csv", report.per_n)
     print(f"fitted_slope: {report.fitted_slope:.6g}")
     print(f"rate_reference: {report.rate_reference:.6g}")
     print(f"relative_gap: {report.relative_gap:.6g}")
     return 0
 
 
-def _cmd_dickey(args) -> int:
-    report = run_dickey_check(SeededRng(args.seed, args.stream), args.k,
-                              args.m, args.n, args.samples,
-                              dof_offset=args.dof_offset)
+def _print_report(report, out) -> int:
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
     print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
     return 0
+
+
+def _cmd_dickey(args) -> int:
+    return _print_report(run_dickey_check(
+        SeededRng(args.seed, args.stream), args.k, args.m, args.n, args.samples,
+        dof_offset=args.dof_offset), args.out)
 
 
 def _cmd_clt(args) -> int:
-    report = run_clt_check(SeededRng(args.seed, args.stream), args.k, args.p,
-                           args.n, args.samples)
-    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    return 0
+    return _print_report(run_clt_check(
+        SeededRng(args.seed, args.stream), args.k, args.p, args.n, args.samples),
+        args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -399,8 +372,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "log-determinant rates, and run rare-event experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, required=True)
+    seeded.add_argument("--stream", type=int, default=0)
 
-    p_sample = sub.add_parser("sample", help="draw samples to CSV")
+    p_sample = sub.add_parser("sample", parents=[seeded], help="draw samples to CSV")
     p_sample.add_argument("--dist", required=True,
                           choices=["stiefel", "orthogonal", "wishart",
                                    "pgaussian", "lpball"])
@@ -409,8 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--p", type=_parse_p)
     p_sample.add_argument("--scale", type=float)
     p_sample.add_argument("--count", type=int, required=True)
-    p_sample.add_argument("--seed", type=int, required=True)
-    p_sample.add_argument("--stream", type=int, default=0)
     p_sample.add_argument("--out", default="samples.csv")
     p_sample.set_defaults(func=_cmd_sample)
 
@@ -432,7 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--dof", type=int)
     p_density.set_defaults(func=_cmd_density)
 
-    p_project = sub.add_parser("project", help="sample a projected measure to CSV")
+    p_project = sub.add_parser("project", parents=[seeded],
+                               help="sample a projected measure to CSV")
     p_project.add_argument("--mode", required=True,
                            choices=["lpball", "product", "law"])
     p_project.add_argument("--k", type=int)
@@ -440,20 +415,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_project.add_argument("--p", type=_parse_p)
     p_project.add_argument("--law-json")
     p_project.add_argument("--count", type=int, required=True)
-    p_project.add_argument("--seed", type=int, required=True)
-    p_project.add_argument("--stream", type=int, default=0)
     p_project.add_argument("--out", default="cloud.csv")
     p_project.set_defaults(func=_cmd_project)
 
     p_compare = sub.add_parser(
-        "compare", help="LP distance between ball and product projections")
+        "compare", parents=[seeded],
+        help="LP distance between ball and product projections")
     p_compare.add_argument("--k", type=int, required=True)
     p_compare.add_argument("--p", type=_parse_p, required=True)
     p_compare.add_argument("--n-list", required=True)
     p_compare.add_argument("--count", type=int, required=True)
     p_compare.add_argument("--grid", type=int, default=200)
-    p_compare.add_argument("--seed", type=int, required=True)
-    p_compare.add_argument("--stream", type=int, default=0)
     p_compare.add_argument("--out")
     p_compare.set_defaults(func=_cmd_compare)
 
@@ -463,24 +435,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--threads", type=int)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_dickey = sub.add_parser("dickey", help="two-sample check of the corner laws")
+    p_dickey = sub.add_parser("dickey", parents=[seeded],
+                              help="two-sample check of the corner laws")
     p_dickey.add_argument("--k", type=int, required=True)
     p_dickey.add_argument("--m", type=int, required=True)
     p_dickey.add_argument("--n", type=int, required=True)
     p_dickey.add_argument("--samples", type=int, required=True)
     p_dickey.add_argument("--dof-offset", type=int, default=0)
-    p_dickey.add_argument("--seed", type=int, required=True)
-    p_dickey.add_argument("--stream", type=int, default=0)
     p_dickey.add_argument("--out")
     p_dickey.set_defaults(func=_cmd_dickey)
 
-    p_clt = sub.add_parser("clt", help="KS check of projected marginals vs Gaussian")
+    p_clt = sub.add_parser("clt", parents=[seeded],
+                           help="KS check of projected marginals vs Gaussian")
     p_clt.add_argument("--k", type=int, required=True)
     p_clt.add_argument("--p", type=_parse_p, required=True)
     p_clt.add_argument("--n", type=int, required=True)
     p_clt.add_argument("--samples", type=int, required=True)
-    p_clt.add_argument("--seed", type=int, required=True)
-    p_clt.add_argument("--stream", type=int, default=0)
     p_clt.add_argument("--out")
     p_clt.set_defaults(func=_cmd_clt)
 

@@ -225,12 +225,7 @@ def project_lp_ball_batch(gen, v, p: float, count: int) -> EmpiricalMeasure:
     v = as_matrix(v)
     if v.shape[0] > v.shape[1]:
         raise DimensionMismatch("frame must have k <= n")
-    if not (1 <= p < math.inf):
-        raise DomainError("p must be in [1, inf)")
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    n = v.shape[1]
-    x = lp_ball_batch(gen, p, n, n ** (1.0 / p), count)
+    x = lp_ball_batch(gen, p, v.shape[1], None, count)
     return EmpiricalMeasure.from_points(x @ v.T)
 
 
@@ -376,8 +371,6 @@ def compare_ball_vs_product(
     _check_lp_domain(k, grid)
     out = []
     for idx, n in enumerate(n_list):
-        if k > n:
-            raise DimensionMismatch("k must be <= n")
         v = stiefel_batch(rng.child(idx, 0), k, n, 1)[0]
         ball = project_lp_ball_batch(rng.child(idx, 1), v, p, count)
         product = project_product_batch(

@@ -5,6 +5,10 @@ Every operation is a pure function of (rng, arguments): it derives a fresh
 generator from the ``SeededRng`` value, so identical inputs reproduce
 identical output bit for bit.  Independent draws come from distinct
 ``stream_id`` values (or the ``count`` arguments), never from shared state.
+
+Each law has one batched body, which checks the law's domain and
+``count >= 1`` before it draws and raises ``DomainError`` otherwise; the
+single-draw functions wrap it.
 """
 
 from __future__ import annotations
@@ -62,6 +66,11 @@ def gaussian_matrix(rng: SeededRng, k: int, n: int) -> np.ndarray:
     return rng.generator().standard_normal((k, n))
 
 
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
+
+
 def stiefel_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.ndarray:
     """``count`` Haar frames as a (count, k, n) array, drawn from ``gen``.
 
@@ -69,8 +78,9 @@ def stiefel_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.nd
     the signs of diag(R) divided out so that the law is exactly Haar
     (Mezzadri, Notices AMS 54, 2007).
     """
-    if k > n:
-        raise DomainError("k must be <= n")
+    if not 1 <= k <= n:
+        raise DomainError(f"k must be <= n and >= 1, got k = {k}, n = {n}")
+    _check_count(count)
     q, r = np.linalg.qr(gen.standard_normal((count, n, k)))
     signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     return np.swapaxes(q * signs[:, None, :], 1, 2)
@@ -93,6 +103,9 @@ def wishart_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.nd
     triangular, L_ii^2 ~ chi^2(n - i) for i = 0, ..., k - 1 and standard
     normals below the diagonal, so a draw costs O(k^2) whatever n is.
     """
+    if not 1 <= k <= n:
+        raise DomainError(f"need n >= k >= 1, got k = {k}, n = {n}")
+    _check_count(count)
     low = np.zeros((count, k, k))
     below = np.tri(k, k, -1, dtype=bool)
     low[:, below] = gen.standard_normal((count, int(below.sum())))
@@ -104,8 +117,6 @@ def wishart_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.nd
 def wishart(rng: SeededRng, k: int, n: int) -> np.ndarray:
     """k x k array H H^T for a k x n standard Gaussian H (identity scale
     matrix)."""
-    if not 1 <= k <= n:
-        raise DomainError("need n >= k >= 1")
     return wishart_batch(rng.generator(), k, n, 1)[0]
 
 
@@ -113,8 +124,13 @@ def p_gaussian_batch(gen: np.random.Generator, p: float, shape) -> np.ndarray:
     """Draws with density exp(-|x|^p / p) / (2 p^(1/p) Gamma(1 + 1/p)).
 
     Uses the exact Gamma transform |X|^p / p ~ Gamma(1/p, 1) for finite p;
-    p = inf yields Uniform[-1, 1].
+    p = inf yields Uniform[-1, 1].  Needs p >= 1 and every extent of
+    ``shape`` >= 1.
     """
+    if not p >= 1:
+        raise DomainError(f"p must be >= 1, got {p}")
+    if np.any(np.asarray(shape) < 1):
+        raise DomainError(f"every extent of shape must be >= 1, got {shape}")
     if math.isinf(p):
         return gen.uniform(-1.0, 1.0, size=shape)
     g = gen.gamma(1.0 / p, 1.0, size=shape)
@@ -124,8 +140,6 @@ def p_gaussian_batch(gen: np.random.Generator, p: float, shape) -> np.ndarray:
 
 def p_gaussian(rng: SeededRng, params: PGaussianParams, count: int) -> np.ndarray:
     """``count`` i.i.d. p-generalized Gaussian draws."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
     return p_gaussian_batch(rng.generator(), params.p, count)
 
 
@@ -137,19 +151,24 @@ def uniform_lp_ball(
     Representation: radius_scale * U^(1/n) * Z / ||Z||_p with Z a vector of
     i.i.d. p-Gaussians and U ~ Uniform[0, 1] independent of Z.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if not (1 <= p < math.inf):
-        raise DomainError("p must be in [1, inf)")
-    if radius_scale <= 0:
-        raise DomainError("radius_scale must be > 0")
     return lp_ball_batch(rng.generator(), p, n, radius_scale, 1)[0]
 
 
 def lp_ball_batch(
-    gen: np.random.Generator, p: float, n: int, radius_scale: float, count: int
+    gen: np.random.Generator, p: float, n: int, radius_scale: float | None, count: int
 ) -> np.ndarray:
-    """(count, n) array of independent uniform lp-ball points."""
+    """(count, n) array of independent uniform points of ``radius_scale``
+    times the unit lp ball; ``radius_scale=None`` means n^(1/p), the scaling
+    of the projection results."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if not 1 <= p < math.inf:
+        raise DomainError(f"p must be in [1, inf), got {p}")
+    if radius_scale is None:
+        radius_scale = n ** (1.0 / p)
+    elif not radius_scale > 0:
+        raise DomainError(f"radius_scale must be > 0, got {radius_scale}")
+    _check_count(count)
     z = p_gaussian_batch(gen, p, (count, n))
     u = gen.uniform(size=(count, 1))
     norms = np.linalg.norm(z, ord=p, axis=1, keepdims=True)
@@ -164,6 +183,9 @@ def dickey_corner_batch(
 
     ``T T^T`` always has operator norm < 1.
     """
+    if min(k, m, big_n) < 1:
+        raise DomainError(f"k, m, N must all be >= 1, got k = {k}, m = {m}, N = {big_n}")
+    _check_count(count)
     g = gen.standard_normal((count, k, m))
     s = wishart_batch(gen, k, big_n + k - 1, count)
     vals, vecs = np.linalg.eigh(s + g @ np.swapaxes(g, 1, 2))
@@ -173,8 +195,6 @@ def dickey_corner_batch(
 
 def dickey_corner(rng: SeededRng, k: int, m: int, big_n: int) -> np.ndarray:
     """One draw of :func:`dickey_corner_batch`."""
-    if k < 1 or m < 1 or big_n < 1:
-        raise DomainError("k, m, N must all be >= 1")
     return dickey_corner_batch(rng.generator(), k, m, big_n, 1)[0]
 
 
@@ -184,8 +204,6 @@ def stiefel_corner_batch(
     """Leading k x ell blocks of ``count`` Haar frames, shape (count, k, ell).
 
     Drawn by the Dickey identity with N = n - ell - k + 1, which needs
-    n >= ell + k; a draw costs O(k^2 + k ell) whatever n is.
+    n >= ell + k (N >= 1); a draw costs O(k^2 + k ell) whatever n is.
     """
-    if n < ell + k:
-        raise DomainError("need n >= ell + k")
     return dickey_corner_batch(gen, k, ell, n - ell - k + 1, count)

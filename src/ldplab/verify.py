@@ -35,17 +35,24 @@ BATCH_ELEMENTS = 4_000_000
 
 
 def worker_count(threads=None) -> int:
-    """Worker threads: LDPLAB_THREADS overrides the argument, which
-    overrides machine parallelism."""
-    env = os.environ.get("LDPLAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+    """Worker threads: ``threads`` (at least 1), or the CPU count when it is
+    None."""
     if threads is not None:
         return max(1, int(threads))
     return max(1, os.cpu_count() or 1)
+
+
+def _check_n_values(n_values) -> list:
+    """``n_values`` as ints; refused unless non-empty and increasing."""
+    n_values = [int(n) for n in n_values]
+    if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise DomainError("n_values must be non-empty and increasing")
+    return n_values
+
+
+def _json_float(x: float):
+    """``x``, or "+inf" / "-inf" when it is infinite."""
+    return x if math.isfinite(x) else ("+inf" if x > 0 else "-inf")
 
 
 @dataclass
@@ -67,11 +74,7 @@ class LdpExperiment:
             raise DomainError("target shape must be (k, ell)")
         if self.radius <= 0:
             raise DomainError("radius must be > 0")
-        self.n_values = [int(n) for n in self.n_values]
-        if not self.n_values:
-            raise DomainError("n_values must be non-empty")
-        if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
-            raise DomainError("n_values must be increasing")
+        self.n_values = _check_n_values(self.n_values)
         if self.method not in ("montecarlo", "quadrature"):
             raise DomainError("method must be 'montecarlo' or 'quadrature'")
         if self.method == "quadrature" and (self.k != 1 or self.ell != 1):
@@ -102,22 +105,16 @@ class SlopeReport:
     relative_gap: float = 0.0
 
     def to_json_dict(self) -> dict:
-        def safe(x):
-            return x if math.isfinite(x) else ("+inf" if x > 0 else "-inf")
-
         return {
             "per_n": [
-                {"n": n, "log_prob": safe(lp), "stderr": se}
+                {"n": n, "log_prob": _json_float(lp), "stderr": se}
                 for n, lp, se in self.per_n
             ],
-            "fitted_slope": safe(self.fitted_slope),
+            "fitted_slope": _json_float(self.fitted_slope),
             "slope_stderr": self.slope_stderr,
-            "rate_reference": safe(self.rate_reference),
+            "rate_reference": _json_float(self.rate_reference),
             "relative_gap": self.relative_gap,
         }
-
-    def to_csv_rows(self) -> list:
-        return [(n, lp, se) for n, lp, se in self.per_n]
 
 
 def _secular_point(s, cap, mu: float) -> np.ndarray:
@@ -348,9 +345,7 @@ def run_ldp_configuration(
     """
     if target.dim != k:
         raise DomainError("target dimension does not match k")
-    n_values = [int(n) for n in n_values]
-    if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise DomainError("n_values must be non-empty and increasing")
+    n_values = _check_n_values(n_values)
     if n_values[0] < k:
         raise DomainError(f"a k x n frame needs n >= k = {k}, got n = {n_values[0]}")
     if samples_per_n < 1:
@@ -422,8 +417,6 @@ def run_dickey_check(rng: SeededRng, k: int, m: int, n: int, samples: int,
     if n < m + k:
         raise DomainError("need n >= m + k")
     dof = n - m - k + 1 + dof_offset
-    if dof < 1:
-        raise DomainError("degrees of freedom must be >= 1")
     # whole QR frames: stiefel_corner_batch is the Dickey construction itself
     corners = stiefel_batch(rng.child(0), k, n, samples)[:, :, :m]
     dickey = dickey_corner_batch(rng.child(1), k, m, dof, samples)
@@ -453,7 +446,7 @@ class GaussianFitReport:
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
-            "p": self.p if math.isfinite(self.p) else "inf",
+            "p": _json_float(self.p),
             "n": self.n,
             "sigma_squared": self.sigma_squared,
             "marginals": [
@@ -468,8 +461,6 @@ def run_clt_check(rng: SeededRng, k: int, p: float, n: int, samples: int) -> Gau
     """Project through one Haar frame and KS-test each marginal against the
     limiting N(0, sigma_p^2); the cube case p = inf projects the uniform
     product law with variance 1/3."""
-    if n < k:
-        raise DomainError("need n >= k")
     sigma2 = sigma_p_squared(p)
     v = stiefel_batch(rng.child(0), k, n, 1)[0]
     if math.isinf(p):

@@ -217,6 +217,29 @@ def test_dickey_and_clt_commands(capsys):
     assert doc["min_pvalue"] > 0.001
 
 
+@pytest.mark.parametrize("args", [
+    ["sample", "--dist", "lpball", "--p", "2", "--n", "0", "--count", "3"],
+    ["sample", "--dist", "lpball", "--p", "0.5", "--n", "4", "--count", "3"],
+    ["sample", "--dist", "lpball", "--p", "0", "--n", "4", "--count", "3"],
+    ["sample", "--dist", "pgaussian", "--p", "2", "--n", "0", "--count", "3"],
+    ["dickey", "--k", "1", "--m", "1", "--n", "10", "--samples", "0"],
+], ids=["lpball_n0", "lpball_p0.5", "lpball_p0", "pgaussian_n0",
+                         "dickey_samples0"])
+def test_out_of_domain_exits_2(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    assert run(args + ["--seed", "1", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_clt_report_writes_infinite_p(tmp_path, capsys):
+    out = tmp_path / "clt.json"
+    assert run(["clt", "--k", "1", "--p", "inf", "--n", "50",
+                "--samples", "500", "--seed", "6", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["p"] == "+inf"
+    assert json.loads(out.read_text())["p"] == "+inf"
+
+
 def test_malformed_matrix_exit_code(capsys):
     assert run(["rate", "--matrix", "not json"]) == 2
 

