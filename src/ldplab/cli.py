@@ -54,7 +54,8 @@ from .samplers import (
     stiefel_batch,
     wishart_batch,
 )
-from .verify import LdpExperiment, run_clt_check, run_dickey_check, run_ldp_configuration, run_ldp_corner
+from .verify import (LdpExperiment, json_float, run_clt_check, run_dickey_check,
+                     run_ldp_configuration, run_ldp_corner)
 
 
 def _build_id() -> str:
@@ -72,12 +73,6 @@ def _write_sidecar(path: str, payload: dict) -> None:
     with open(path + ".json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return "+inf" if value > 0 else "-inf"
-    return value
 
 
 def _parse_p(text: str) -> float:
@@ -130,7 +125,7 @@ def _cmd_sample(args) -> int:
         "dist": args.dist,
         "k": args.k,
         "n": args.n,
-        "p": _json_safe(args.p) if args.p is not None else None,
+        "p": json_float(args.p) if args.p is not None else None,
         "scale": args.scale,
         "count": args.count,
         "seed": args.seed,
@@ -173,10 +168,10 @@ def _cmd_rate(args) -> int:
     else:
         print(f"rate: {value:.17g}")
     doc = {
-        "rate": _json_safe(value),
+        "rate": json_float(value),
         "boundary": report.boundary,
         "truncation_level": report.truncation_level,
-        "partial_rates": [_json_safe(v) for v in report.partial_rates],
+        "partial_rates": [json_float(v) for v in report.partial_rates],
         "converged": report.converged,
         "tail_bound": report.tail_bound,
     }
@@ -193,12 +188,12 @@ def _cmd_density(args) -> int:
     if args.which == "pgaussian":
         if args.p is None or args.x is None:
             return _usage("pgaussian requires --p and --x")
-        print(json.dumps({"log_density": log_p_gaussian_density(args.x, args.p)}))
+        print(json.dumps({"log_density": json_float(log_p_gaussian_density(args.x, args.p))}))
         return 0
     if args.which == "pth-power":
         if args.p is None or args.x is None:
             return _usage("pth-power requires --p and --x")
-        print(json.dumps({"log_density": _json_safe(log_pth_power_density(args.x, args.p))}))
+        print(json.dumps({"log_density": json_float(log_pth_power_density(args.x, args.p))}))
         return 0
     if args.at is None:
         return _usage(f"{args.which} requires --at with a JSON matrix")
@@ -218,7 +213,7 @@ def _cmd_density(args) -> int:
         value = log_wishart_density(matrix, matrix.shape[0], args.n)
     else:  # pragma: no cover
         return _usage(f"unknown density {args.which}")
-    print(json.dumps({"log_density": _json_safe(value)}))
+    print(json.dumps({"log_density": json_float(value)}))
     return 0
 
 
@@ -241,7 +236,7 @@ def _cmd_project(args) -> int:
         else:
             cloud = project_product_batch(rng.child(1), frame,
                                           PGaussianParams(args.p), args.count)
-        meta = {"k": args.k, "n": args.n, "p": _json_safe(args.p)}
+        meta = {"k": args.k, "n": args.n, "p": json_float(args.p)}
     else:  # law
         if not args.law_json:
             return _usage("law mode requires --law-json")
@@ -283,7 +278,7 @@ def _cmd_compare(args) -> int:
     if args.out:
         _write_csv(args.out, pairs)
         _write_sidecar(args.out, {
-            "command": "compare", "k": args.k, "p": _json_safe(args.p),
+            "command": "compare", "k": args.k, "p": json_float(args.p),
             "n_list": n_list, "count": args.count, "grid": args.grid,
             "seed": args.seed, "stream": args.stream,
             "row_shape": [1, 2],
@@ -324,10 +319,8 @@ def _cmd_verify(args) -> int:
         )
         report = run_ldp_corner(rng, exp, threads=args.threads)
     else:
-        target = PointConfiguration.from_atoms(
-            int(doc["k"]),
-            [(a["point"], a["multiplicity"]) for a in doc["atoms"]],
-        )
+        target = PointConfiguration.from_json_dict(
+            {"dim": doc["k"], "atoms": doc["atoms"]})
         report = run_ldp_configuration(
             rng, int(doc["k"]), target, float(doc["r"]), float(doc["rho"]),
             doc["n_values"], int(doc["samples_per_n"]), threads=args.threads,

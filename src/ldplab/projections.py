@@ -296,9 +296,9 @@ def _check_lp_domain(dim: int, grid: int) -> None:
         raise DomainError("grid must be >= 2")
 
 
-# Midpoints this close to the exact threshold (relative to the largest
-# distance) are settled by _lp_check itself, so rounding in either
-# computation cannot change the bisection's path.
+# A grid point this close to the exact threshold (relative to the largest
+# distance) is settled by _lp_check itself, so rounding in the threshold
+# cannot move the reported value across it.
 _LP_TIE_BAND = 1e-9
 
 
@@ -307,12 +307,13 @@ def levy_prokhorov(mu: EmpiricalMeasure, nu: EmpiricalMeasure, grid: int = 200) 
 
     Tests mu(A) <= nu(A_eps) + eps (and symmetrically) over the family of
     Euclidean balls centered on a pooled subsample of at most ``grid``
-    points.  The smallest admissible eps is computed exactly, one sorted
-    search per center and direction, and reported as the point where a
-    bisection of [0, 1] to resolution 0.5 / grid would stop (1.0 when it
-    exceeds 1).  Monotone in the true distance and exact on point masses;
-    restricting to balls makes this a heuristic rather than the exact
-    combinatorial optimum.
+    points.  The smallest admissible eps t is computed exactly, one sorted
+    search per center and direction, and reported where a bisection of
+    [0, 1] to resolution 0.5 / grid would stop: the least multiple of
+    h = 2^-m above t, with 2^m the least power of two >= 2 grid, capped at
+    1.0 (0.0 when t < 0).  Monotone in the true distance and exact on point
+    masses; restricting to balls makes this a heuristic rather than the
+    exact combinatorial optimum.
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch("sample clouds live in different dimensions")
@@ -336,23 +337,13 @@ def levy_prokhorov(mu: EmpiricalMeasure, nu: EmpiricalMeasure, grid: int = 200) 
         for d_mu, d_nu in zip(dists_mu, dists_nu)
     )
     tie = _LP_TIE_BAND * max(1.0, max(d[-1] for d in dists_mu + dists_nu))
-
-    def admissible(eps: float) -> bool:
-        if abs(eps - threshold) <= tie:
-            return _lp_check(dists_mu, dists_nu, eps)
-        return eps > threshold
-
-    if admissible(0.0):
+    h = 2.0 ** -(2 * grid - 1).bit_length()
+    near = round(threshold / h) * h
+    if 0.0 <= near < 1.0 and abs(near - threshold) <= tie:
+        return near if _lp_check(dists_mu, dists_nu, near) else near + h
+    if threshold < 0.0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    resolution = 0.5 / grid
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return min((math.floor(threshold / h) + 1) * h, 1.0)
 
 
 def compare_ball_vs_product(

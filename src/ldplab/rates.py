@@ -146,13 +146,3 @@ def rate_configuration(mu: PointConfiguration) -> float:
     """Rate of a symmetric point configuration through its column matrix."""
     value, _ = rate_truncated(config_to_matrix(mu))
     return value
-
-
-def rate_projected_measure(a: ColumnList) -> float:
-    """Rate of a projected measure through its representing column matrix.
-
-    Identical to :func:`rate_truncated`; exposed separately because the
-    measure-level statements define the rate through this representation.
-    """
-    value, _ = rate_truncated(a)
-    return value

@@ -50,8 +50,8 @@ def _check_n_values(n_values) -> list:
     return n_values
 
 
-def _json_float(x: float):
-    """``x``, or "+inf" / "-inf" when it is infinite."""
+def json_float(x):
+    """``x``, or "+inf" / "-inf" when it is an infinite float."""
     return x if math.isfinite(x) else ("+inf" if x > 0 else "-inf")
 
 
@@ -107,12 +107,12 @@ class SlopeReport:
     def to_json_dict(self) -> dict:
         return {
             "per_n": [
-                {"n": n, "log_prob": _json_float(lp), "stderr": se}
+                {"n": n, "log_prob": json_float(lp), "stderr": se}
                 for n, lp, se in self.per_n
             ],
-            "fitted_slope": _json_float(self.fitted_slope),
+            "fitted_slope": json_float(self.fitted_slope),
             "slope_stderr": self.slope_stderr,
-            "rate_reference": _json_float(self.rate_reference),
+            "rate_reference": json_float(self.rate_reference),
             "relative_gap": self.relative_gap,
         }
 
@@ -190,19 +190,18 @@ def min_rate_over_ball(target, radius: float) -> float:
 
 def _log_corner_ball_prob(n: int, a: float, radius: float) -> float:
     """log P[|scalar corner - a| < r] for a Haar row in R^n, by adaptive
-    quadrature of the exact corner density in log space."""
+    quadrature in log space of the corner density, which is proportional to
+    (1 - x^2)^((n - 3)/2), scaled by its value at the peak."""
     lo = max(a - radius, -1.0)
     hi = min(a + radius, 1.0)
     if lo >= hi:
         return float("-inf")
-
-    def log_f(x):
-        return log_corner_density(np.array([[x]]), 1, 1, n)
-
     peak = min(max(0.0, lo), hi)
-    m = log_f(peak)
-    val, _ = quad(lambda x: math.exp(log_f(x) - m), lo, hi,
-                  limit=200, epsabs=1e-13, epsrel=1e-11)
+    m = log_corner_density(np.array([[peak]]), 1, 1, n)
+    power = (n - 3) / 2.0
+    log_peak = math.log1p(-peak * peak)
+    val, _ = quad(lambda x: math.exp(power * (math.log1p(-x * x) - log_peak)),
+                  lo, hi, limit=200, epsabs=1e-13, epsrel=1e-11)
     return m + math.log(val)
 
 
@@ -290,16 +289,35 @@ def run_ldp_corner(rng: SeededRng, exp: LdpExperiment, threads=None) -> SlopeRep
                               rate_ref, hits, threads)
 
 
+def _check_atom_balls(atoms, r: float, rho: float) -> None:
+    """Refuse atom balls that reach into the norm-r ball or overlap."""
+    for point, _ in atoms:
+        norm = float(np.linalg.norm(point))
+        if norm - rho <= r:
+            raise DomainError("atom balls must stay outside the norm-r ball")
+    signed = [s * p for p, _ in atoms for s in (1.0, -1.0)]
+    for i in range(len(signed)):
+        for j in range(i + 1, len(signed)):
+            if np.linalg.norm(signed[i] - signed[j]) <= 2 * rho:
+                raise DomainError("atom balls must be pairwise disjoint")
+
+
 def configuration_hit_count(frames: np.ndarray, atoms, r: float, rho: float) -> int:
     """Count frames whose column configuration matches the target: each atom
     pair collects exactly its multiplicity of columns within rho, and no
     column outside the atom balls has norm above r.
 
     ``frames`` has shape (batch, k, n); ``atoms`` is a list of
-    (representative point, multiplicity) pairs.
+    (representative point, multiplicity) pairs.  The atom balls must lie
+    outside the norm-r ball and be pairwise disjoint, so a frame hits exactly
+    when it has as many columns of norm above r as the total multiplicity
+    and each ball holds its multiplicity; only frames with that count get
+    the ball tests.
     """
+    _check_atom_balls(atoms, r, rho)
     norms2 = np.sum(frames**2, axis=1)
-    matched = np.zeros(norms2.shape, dtype=bool)
+    budget = np.sum(norms2 > r**2, axis=1) == sum(mult for _, mult in atoms)
+    frames, norms2 = frames[budget], norms2[budget]
     ok = np.ones(frames.shape[0], dtype=bool)
     rho2 = rho**2
     for point, mult in atoms:
@@ -307,9 +325,7 @@ def configuration_hit_count(frames: np.ndarray, atoms, r: float, rho: float) -> 
         base = norms2 + float(point @ point)
         ball = (base - 2.0 * proj < rho2) | (base + 2.0 * proj < rho2)
         ok &= np.sum(ball, axis=1) == mult
-        matched |= ball
-    stray = np.any((norms2 > r**2) & ~matched, axis=1)
-    return int(np.sum(ok & ~stray))
+    return int(np.sum(ok))
 
 
 def _configuration_event_bounds(target: PointConfiguration, r, rho, n):
@@ -350,17 +366,7 @@ def run_ldp_configuration(
         raise DomainError(f"a k x n frame needs n >= k = {k}, got n = {n_values[0]}")
     if samples_per_n < 1:
         raise DomainError("samples_per_n must be >= 1")
-    reps = []
-    for point, mult in target.atoms:
-        norm = float(np.linalg.norm(point))
-        if norm - rho <= r:
-            raise DomainError("atom balls must stay outside the norm-r ball")
-        reps.append((point, mult))
-    signed = [s * p for p, _ in reps for s in (1.0, -1.0)]
-    for i in range(len(signed)):
-        for j in range(i + 1, len(signed)):
-            if np.linalg.norm(signed[i] - signed[j]) <= 2 * rho:
-                raise DomainError("atom balls must be pairwise disjoint")
+    _check_atom_balls(target.atoms, r, rho)
 
     rate_ref = rate_configuration(target)
     for n in n_values:
@@ -372,7 +378,8 @@ def run_ldp_configuration(
             )
 
     def hits(gen, size, n):
-        return configuration_hit_count(stiefel_batch(gen, k, n, size), reps, r, rho)
+        return configuration_hit_count(stiefel_batch(gen, k, n, size), target.atoms,
+                                       r, rho)
 
     return _monte_carlo_slope(rng, k, n_values, samples_per_n, rate_ref, hits,
                               threads)
@@ -446,7 +453,7 @@ class GaussianFitReport:
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
-            "p": _json_float(self.p),
+            "p": json_float(self.p),
             "n": self.n,
             "sigma_squared": self.sigma_squared,
             "marginals": [

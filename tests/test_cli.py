@@ -86,6 +86,16 @@ def test_density_commands(capsys):
     assert val == pytest.approx(-1 - math.log(2))
 
 
+def test_density_p_domain(capsys):
+    assert run(["density", "--which", "pgaussian", "--p", "inf", "--x", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["log_density"] == -math.log(2)
+    assert run(["density", "--which", "pgaussian", "--p", "inf", "--x", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["log_density"] == "-inf"
+    assert run(["density", "--which", "pgaussian", "--p", "0", "--x", "0.5"]) == 2
+    assert run(["density", "--which", "pth-power", "--p", "0.5", "--x", "1"]) == 2
+    assert run(["density", "--which", "pth-power", "--p", "inf", "--x", "1"]) == 2
+
+
 def test_verify_quadrature_config(tmp_path, capsys):
     cfg = {
         "schema_version": 1,

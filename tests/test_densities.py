@@ -153,6 +153,22 @@ def test_p_gaussian_density_normalization():
     assert abs(total - 1.0) < 1e-9
 
 
+def test_p_gaussian_density_domain():
+    # p = inf is the Uniform[-1, 1] law; p < 1 is no p-Gaussian
+    assert log_p_gaussian_density(0.5, math.inf) == -math.log(2.0)
+    assert log_p_gaussian_density(-1.0, math.inf) == -math.log(2.0)
+    assert log_p_gaussian_density(1.5, math.inf) == -math.inf
+    for p in (0.0, 0.5, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            log_p_gaussian_density(0.5, p)
+
+
+def test_pth_power_density_domain():
+    for p in (0.0, 0.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            log_pth_power_density(1.0, p)
+
+
 def test_pth_power_density_reduces_to_chi2():
     val = math.exp(log_pth_power_density(1.0, 2.0))
     assert abs(val - math.exp(-0.5) / math.sqrt(2 * math.pi)) < 1e-14

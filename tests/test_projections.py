@@ -233,8 +233,8 @@ def test_levy_prokhorov_matches_bisection_random_clouds():
 
 
 def test_levy_prokhorov_matches_bisection_lattice_clouds(monkeypatch):
-    # dyadic and decimal lattices put exact thresholds on or next to the
-    # bisection midpoints; those midpoints go through _lp_check
+    # dyadic, ternary and decimal lattices put exact thresholds on or next
+    # to the grid points of the bisection; those points go through _lp_check
     checked = []
     check = projections._lp_check
 
@@ -244,11 +244,11 @@ def test_levy_prokhorov_matches_bisection_lattice_clouds(monkeypatch):
 
     monkeypatch.setattr(projections, "_lp_check", counting_check)
     gen = np.random.default_rng(24)
-    for i in range(240):
-        q = (4, 8, 10, 16)[i % 4]
+    for i in range(360):
+        q = (2, 3, 4, 8, 10, 16)[i % 6]
         k = int(gen.integers(1, 4))
         n_a, n_b = gen.integers(1, 40, size=2)
-        grid = int(gen.choice([2, 4, 5, 8, 10, 16, 20, 32]))
+        grid = int(gen.choice([2, 3, 4, 5, 8, 10, 16, 20, 32, 64, 100]))
         a = EmpiricalMeasure.from_points(gen.integers(-q, q + 1, (n_a, k)) / q)
         b = EmpiricalMeasure.from_points(gen.integers(-q, q + 1, (n_b, k)) / q)
         assert levy_prokhorov(a, b, grid) == oracle_levy_prokhorov(a, b, grid)

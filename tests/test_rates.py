@@ -10,7 +10,6 @@ from ldplab.rates import (
     rate_configuration,
     rate_finite,
     rate_orthogonal_truncated,
-    rate_projected_measure,
     rate_truncated,
 )
 from ldplab.samplers import SeededRng, haar_orthogonal, haar_stiefel
@@ -106,11 +105,11 @@ def test_rate_configuration_boundary():
 
 
 def test_rate_projected_measure():
-    assert rate_projected_measure(ColumnList.empty(2)) == 0.0
+    assert rate_truncated(ColumnList.empty(2))[0] == 0.0
     a = ColumnList.from_columns(1, np.array([[0.6]]))
-    assert abs(rate_projected_measure(a) - (-0.5 * math.log(1 - 0.36))) < 1e-12
+    assert abs(rate_truncated(a)[0] - (-0.5 * math.log(1 - 0.36))) < 1e-12
     b = ColumnList.from_columns(1, np.array([[1.0]]))
-    assert rate_projected_measure(b) == math.inf
+    assert rate_truncated(b)[0] == math.inf
 
 
 def test_rate_finite_signed_permutation_invariance():

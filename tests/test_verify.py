@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ldplab.configurations import PointConfiguration
+from ldplab.densities import log_corner_density
 from ldplab.errors import DomainError, InfeasibleExperiment
 from ldplab.rates import rate_finite
-from ldplab.samplers import SeededRng
+from ldplab.samplers import SeededRng, stiefel_batch
 from ldplab.verify import (
     LdpExperiment,
+    configuration_hit_count,
     min_rate_over_ball,
     run_clt_check,
     run_dickey_check,
@@ -166,6 +169,39 @@ def test_quadrature_slope_close_to_reference():
     assert all(b < a for a, b in zip(lps, lps[1:]))
 
 
+def _per_node_log_prob(n, a, radius):
+    """log P[|scalar corner - a| < r] with the matrix corner density
+    evaluated at every quadrature node."""
+    lo, hi = max(a - radius, -1.0), min(a + radius, 1.0)
+
+    def log_f(x):
+        return log_corner_density(np.array([[x]]), 1, 1, n)
+
+    m = log_f(min(max(0.0, lo), hi))
+    val, _ = quad(lambda x: math.exp(log_f(x) - m), lo, hi,
+                  limit=200, epsabs=1e-13, epsrel=1e-11)
+    return m + math.log(val)
+
+
+@pytest.mark.parametrize("a, radius, n_values", [
+    (0.3, 0.05, [500, 875, 1250, 1625, 2000]),
+    (0.3, 0.05, [40, 80, 120, 160]),
+    (0.0, 0.1, [3, 10, 50]),
+    (-0.5, 0.2, [4, 30, 300]),
+    (0.05, 0.1, [20, 200]),
+    (0.9, 0.05, [1000, 2000]),  # P < 1e-308 at n = 2000
+])
+def test_quadrature_matches_per_node_corner_density(a, radius, n_values):
+    exp = LdpExperiment(k=1, ell=1, target=[[a]], radius=radius,
+                        n_values=n_values, samples_per_n=1, method="quadrature")
+    rep = run_ldp_corner(SeededRng(0), exp)
+    for n, lp, _ in rep.per_n:
+        assert lp == pytest.approx(_per_node_log_prob(n, a, radius), rel=1e-12, abs=0.0)
+    if a == 0.9:
+        # the deep tail: P lies below the smallest normal double
+        assert rep.per_n[-1][1] < math.log(1e-308)
+
+
 def test_monte_carlo_agrees_with_quadrature():
     n_values = [30, 60, 90]
     mc = run_ldp_corner(SeededRng(3), LdpExperiment(
@@ -245,15 +281,9 @@ def test_configuration_slope_positive_and_probabilities_decay():
     assert local == pytest.approx(ball_inf, rel=0.35)
 
 
-def test_configuration_hit_count_matches_brute_force():
-    from ldplab.samplers import stiefel_batch
-    from ldplab.verify import configuration_hit_count
-
-    gen = SeededRng(77).generator()
-    frames = stiefel_batch(gen, 2, 12, 400)
-    atoms = [(np.array([0.45, 0.1]), 1), (np.array([-0.2, 0.5]), 1)]
-    r, rho = 0.35, 0.07
-    fast = configuration_hit_count(frames, atoms, r, rho)
+def _brute_force_hits(frames, atoms, r, rho):
+    """The configuration event column by column: each atom pair holds its
+    multiplicity, and no column outside the atom balls has norm above r."""
     slow = 0
     for b in range(frames.shape[0]):
         counts = []
@@ -272,7 +302,38 @@ def test_configuration_hit_count_matches_brute_force():
         )
         if all(counts) and not stray:
             slow += 1
-    assert fast == slow
+    return slow
+
+
+def test_configuration_hit_count_matches_brute_force():
+    gen = SeededRng(77).generator()
+    frames = stiefel_batch(gen, 2, 12, 400)
+    atoms = [(np.array([0.45, 0.1]), 1), (np.array([-0.2, 0.5]), 1)]
+    r, rho = 0.35, 0.07
+    assert configuration_hit_count(frames, atoms, r, rho) == _brute_force_hits(
+        frames, atoms, r, rho)
+
+
+def test_configuration_hit_count_matches_brute_force_criterion_6():
+    # criterion 6's event (k = 1, atom 0.4, r = 0.3, rho = 0.05) at an n
+    # where hits and misses are both common
+    gen = SeededRng(78).generator()
+    frames = stiefel_batch(gen, 1, 30, 2000)
+    atoms = PointConfiguration.from_atoms(1, [((0.4,), 1)]).atoms
+    slow = _brute_force_hits(frames, atoms, 0.3, 0.05)
+    assert 0 < slow < frames.shape[0]
+    assert configuration_hit_count(frames, atoms, 0.3, 0.05) == slow
+
+
+def test_configuration_hit_count_refuses_unsound_balls():
+    # the norm budget decides hits only for disjoint balls outside the
+    # norm-r ball
+    frames = stiefel_batch(SeededRng(79).generator(), 1, 10, 5)
+    with pytest.raises(DomainError, match="outside the norm-r ball"):
+        configuration_hit_count(frames, [(np.array([0.4]), 1)], 0.38, 0.05)
+    with pytest.raises(DomainError, match="pairwise disjoint"):
+        configuration_hit_count(
+            frames, [(np.array([0.4]), 1), (np.array([0.45]), 1)], 0.1, 0.05)
 
 
 def test_configuration_zero_probability_detected():
