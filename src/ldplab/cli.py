@@ -242,11 +242,9 @@ def _cmd_project(args) -> int:
             return _usage("law mode requires --law-json")
         with open(args.law_json) as fh:
             doc = json.load(fh)
-        columns = np.asarray(doc.get("columns", []), dtype=np.float64)
         dim = int(doc["dim"])
         law = ProjectedLaw(
-            a=ColumnList.from_columns(dim, columns.reshape(dim, -1)
-                                      if columns.size else np.zeros((dim, 0))),
+            a=ColumnList.from_columns(dim, doc.get("columns", [])),
             noise_variance=float(doc["noise_variance"]),
             product_law=_product_law_from_doc(doc["product"]),
         )

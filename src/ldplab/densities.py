@@ -88,9 +88,11 @@ def log_wishart_density(s, k: int, n: int) -> float:
 def log_p_gaussian_density(x: float, p: float) -> float:
     """log f_p(x) with f_p(x) = exp(-|x|^p / p) / (2 p^(1/p) Gamma(1 + 1/p))
     for 1 <= p < inf; p = inf is the Uniform[-1, 1] limit, log 1/2 on
-    [-1, 1] and -inf outside.  Refuses p < 1."""
+    [-1, 1] and -inf outside.  Refuses p < 1 and NaN x."""
     if not p >= 1:
         raise DomainError("p must be >= 1")
+    if math.isnan(x):
+        raise DomainError("x must not be NaN")
     if math.isinf(p):
         return -math.log(2.0) if abs(x) <= 1.0 else NEG_INF
     return -abs(x) ** p / p - math.log(2.0) - math.log(p) / p - math.lgamma(1.0 + 1.0 / p)
@@ -98,11 +100,14 @@ def log_p_gaussian_density(x: float, p: float) -> float:
 
 def log_pth_power_density(x: float, p: float) -> float:
     """Log density of |Z|^p for a p-Gaussian Z: gamma_p x^(1/p - 1) e^(-x/p)
-    on x > 0, with gamma_p = 1 / (p^(1/p) Gamma(1/p)).  Refuses p < 1, and
-    p = inf, where |Z|^p degenerates to 0 and has no density."""
+    on x > 0, with gamma_p = 1 / (p^(1/p) Gamma(1/p)), and -inf at x <= 0
+    and x = inf.  Refuses p < 1, p = inf, where |Z|^p degenerates to 0 and
+    has no density, and NaN x."""
     if not 1 <= p < math.inf:
         raise DomainError("p must be >= 1 and finite")
-    if x <= 0.0:
+    if math.isnan(x):
+        raise DomainError("x must not be NaN")
+    if not 0.0 < x < math.inf:
         return NEG_INF
     log_gamma_p = -math.log(p) / p - math.lgamma(1.0 / p)
     return log_gamma_p + (1.0 / p - 1.0) * math.log(x) - x / p

@@ -164,14 +164,6 @@ class ColumnList:
     def empty(cls, dim: int) -> "ColumnList":
         return cls.from_columns(dim, np.zeros((dim, 0)))
 
-    def matrix(self) -> np.ndarray:
-        """The dense k x count block holding all nonzero columns."""
-        return self.columns.copy()
-
-    def prefix(self, ell: int) -> np.ndarray:
-        """First ``ell`` columns as a dense k x ell block."""
-        return self.columns[:, :ell].copy()
-
 
 def _match_columns(cols_p, cols_q, used, idx, tol) -> bool:
     # depth-first signed matching; candidate q-columns are pre-restricted to

@@ -7,7 +7,7 @@ functions, and estimate Levy-Prokhorov distances between sample clouds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -15,8 +15,8 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .densities import sigma_p_squared
-from .errors import DimensionMismatch, DomainError, UnsupportedLaw
-from .linalg import ColumnList, as_matrix, gram, operator_norm, psd_sqrt
+from .errors import DimensionMismatch, DomainError, NumericalFailure, UnsupportedLaw
+from .linalg import ColumnList, as_matrix, gram, psd_sqrt
 from .samplers import (
     PGaussianParams,
     SeededRng,
@@ -158,48 +158,45 @@ def law_char_fn(law) -> Callable:
 class ProjectedLaw:
     """Law of  sum_j C_j Y_j + sigma (I - A A^T)^(1/2) N_k.
 
-    ``a`` holds the columns C_j, ``noise_variance`` is sigma^2 > 0, and the
-    Y_j are i.i.d. from ``product_law``.  The Gram norm may touch 1; the
-    Gaussian part then degenerates along the top eigenspace.
+    ``a`` holds the columns C_j, ``noise_variance`` is sigma^2 in (0, inf),
+    and the Y_j are i.i.d. from ``product_law``.  The Gram norm may touch 1;
+    the Gaussian part then degenerates along the top eigenspace.
+
+    ``complement`` is I - A A^T and ``root`` its PSD square root, both
+    computed once here.  The law is admissible exactly when
+    :func:`psd_sqrt` accepts the complement, i.e. its smallest eigenvalue
+    is >= -``NEG_EIG_TOL``.
     """
 
     a: ColumnList
     noise_variance: float
     product_law: object
+    complement: np.ndarray = field(init=False, repr=False, compare=False)
+    root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.noise_variance > 0:
-            raise DomainError("noise_variance must be > 0")
-        if self.a.count and operator_norm(gram(self.a.matrix())) > 1.0 + 1e-9:
-            raise DomainError("||A A^T|| must be <= 1")
-
-    def complement_root(self) -> np.ndarray:
-        """(I - A A^T)^(1/2) with tiny negative eigenvalues clamped to 0."""
-        comp = np.eye(self.a.dim)
-        if self.a.count:
-            comp = comp - gram(self.a.matrix())
-        return psd_sqrt(comp)
-
-
-def _sample_projected_gen(
-    gen: np.random.Generator, law: ProjectedLaw, count: int
-) -> EmpiricalMeasure:
-    k = law.a.dim
-    sigma = math.sqrt(law.noise_variance)
-    root = law.complement_root()
-    normals = gen.standard_normal((count, k))
-    points = sigma * normals @ root.T
-    if law.a.count:
-        y = law_draws(gen, law.product_law, (count, law.a.count))
-        points = points + y @ law.a.columns.T
-    return EmpiricalMeasure.from_points(points)
+        if not 0 < self.noise_variance < math.inf:
+            raise DomainError("noise_variance must be finite and > 0")
+        complement = np.eye(self.a.dim) - gram(self.a.columns)
+        try:
+            root = psd_sqrt(complement)
+        except NumericalFailure as exc:
+            raise DomainError("||A A^T|| must be <= 1") from exc
+        object.__setattr__(self, "complement", complement)
+        object.__setattr__(self, "root", root)
 
 
 def sample_projected_law(rng: SeededRng, law: ProjectedLaw, count: int) -> EmpiricalMeasure:
     """``count`` i.i.d. draws of sum_j C_j Y_j + sigma (I - A A^T)^(1/2) N_k."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    return _sample_projected_gen(rng.generator(), law, count)
+    gen = rng.generator()
+    normals = gen.standard_normal((count, law.a.dim))
+    points = math.sqrt(law.noise_variance) * normals @ law.root.T
+    if law.a.count:
+        y = law_draws(gen, law.product_law, (count, law.a.count))
+        points = points + y @ law.a.columns.T
+    return EmpiricalMeasure.from_points(points)
 
 
 def project_product_batch(gen, v, law, count: int) -> EmpiricalMeasure:
@@ -244,10 +241,7 @@ def empirical_cf(measure: EmpiricalMeasure, t) -> complex:
 def characteristic_function(law: ProjectedLaw, t) -> complex:
     """Exact characteristic function of a projected law; real by symmetry."""
     t = np.asarray(t, dtype=np.float64).reshape(law.a.dim)
-    comp = np.eye(law.a.dim)
-    if law.a.count:
-        comp = comp - gram(law.a.matrix())
-    quad_form = float(t @ comp @ t)
+    quad_form = float(t @ law.complement @ t)
     value = math.exp(-0.5 * law.noise_variance * max(quad_form, 0.0))
     if law.a.count:
         phi = law_char_fn(law.product_law)

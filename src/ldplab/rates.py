@@ -93,7 +93,7 @@ def rate_truncated(a: ColumnList, max_level: int | None = None, tol: float = MON
     raw = (-0.5 * log_det_complement(grams)).tolist()
     partial = _certified_monotone(raw, slack=tol)
 
-    full_norm = operator_norm(gram(a.matrix())) if n_cols else 0.0
+    full_norm = operator_norm(gram(a.columns))
     boundary = BOUNDARY_LO <= full_norm <= BOUNDARY_HI
     report = TruncationReport(
         truncation_level=levels,

@@ -166,8 +166,8 @@ def lp_ball_batch(
         raise DomainError(f"p must be in [1, inf), got {p}")
     if radius_scale is None:
         radius_scale = n ** (1.0 / p)
-    elif not radius_scale > 0:
-        raise DomainError(f"radius_scale must be > 0, got {radius_scale}")
+    elif not 0 < radius_scale < math.inf:
+        raise DomainError(f"radius_scale must be finite and > 0, got {radius_scale}")
     _check_count(count)
     z = p_gaussian_batch(gen, p, (count, n))
     u = gen.uniform(size=(count, 1))

@@ -18,7 +18,7 @@ from scipy.stats import ks_2samp, kstest
 
 from .configurations import PointConfiguration
 from .densities import log_corner_density, sigma_p_squared
-from .errors import DomainError, InfeasibleExperiment
+from .errors import DomainError, InfeasibleExperiment, NumericalFailure
 from .linalg import as_matrix
 from .projections import project_lp_ball_batch, project_product_batch
 from .rates import rate_configuration, rate_finite
@@ -51,7 +51,10 @@ def _check_n_values(n_values) -> list:
 
 
 def json_float(x):
-    """``x``, or "+inf" / "-inf" when it is an infinite float."""
+    """``x``, or "+inf" / "-inf" when it is an infinite float; NaN raises
+    :class:`NumericalFailure`."""
+    if math.isnan(x):
+        raise NumericalFailure("result is NaN")
     return x if math.isfinite(x) else ("+inf" if x > 0 else "-inf")
 
 
@@ -72,8 +75,8 @@ class LdpExperiment:
         self.target = as_matrix(self.target)
         if self.target.shape != (self.k, self.ell):
             raise DomainError("target shape must be (k, ell)")
-        if self.radius <= 0:
-            raise DomainError("radius must be > 0")
+        if not 0 < self.radius < math.inf:
+            raise DomainError(f"radius must be finite and > 0, got {self.radius}")
         self.n_values = _check_n_values(self.n_values)
         if self.method not in ("montecarlo", "quadrature"):
             raise DomainError("method must be 'montecarlo' or 'quadrature'")
@@ -366,6 +369,8 @@ def run_ldp_configuration(
         raise DomainError(f"a k x n frame needs n >= k = {k}, got n = {n_values[0]}")
     if samples_per_n < 1:
         raise DomainError("samples_per_n must be >= 1")
+    if not (0 < r < math.inf and 0 < rho < math.inf):
+        raise DomainError(f"r and rho must be finite and > 0, got r = {r}, rho = {rho}")
     _check_atom_balls(target.atoms, r, rho)
 
     rate_ref = rate_configuration(target)

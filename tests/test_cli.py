@@ -6,7 +6,9 @@ import pytest
 
 from ldplab import __version__
 from ldplab.cli import main
+from ldplab.errors import NumericalFailure
 from ldplab.samplers import SeededRng, stiefel_batch
+from ldplab.verify import json_float
 
 
 def run(args):
@@ -94,6 +96,17 @@ def test_density_p_domain(capsys):
     assert run(["density", "--which", "pgaussian", "--p", "0", "--x", "0.5"]) == 2
     assert run(["density", "--which", "pth-power", "--p", "0.5", "--x", "1"]) == 2
     assert run(["density", "--which", "pth-power", "--p", "inf", "--x", "1"]) == 2
+    # a NaN argument is refused, not written as "-inf"
+    assert run(["density", "--which", "pgaussian", "--p", "1", "--x", "nan"]) == 2
+    assert run(["density", "--which", "pth-power", "--p", "2", "--x", "nan"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_json_float_refuses_nan():
+    assert json_float(-math.inf) == "-inf"
+    assert json_float(0.5) == 0.5
+    with pytest.raises(NumericalFailure):
+        json_float(math.nan)
 
 
 def test_verify_quadrature_config(tmp_path, capsys):
@@ -181,6 +194,19 @@ def test_verify_configuration_experiment(tmp_path):
     assert abs(report["fitted_slope"]) < 0.01
 
 
+def test_verify_rejects_negative_radius(tmp_path, capsys):
+    # the hit test squares r, so r = -0.3 used to run the r = 0.3 experiment
+    cfg = {"schema_version": 1, "seed": 1006, "experiment": "ldp_configuration",
+           "k": 1, "atoms": [{"point": [0.4], "multiplicity": 1}], "r": -0.3,
+           "rho": 0.05, "n_values": [30, 40], "samples_per_n": 1000}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    prefix = tmp_path / "conf"
+    assert run(["verify", "--config", str(path), "--out-prefix", str(prefix)]) == 2
+    assert "finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "conf.json").exists()
+
+
 def test_project_and_compare(tmp_path, capsys):
     out = tmp_path / "cloud.csv"
     assert run(["project", "--mode", "lpball", "--k", "2", "--n", "40",
@@ -216,6 +242,26 @@ def test_project_law_mode(tmp_path):
     assert rows.shape == (30, 2)
 
 
+@pytest.mark.parametrize("columns, code", [
+    ([0.5, 0.0, 0.0, 0.4], 0),                   # flat, column-major blocks
+    ([], 0),                                     # pure Gaussian law
+    ([[0.5, 0.0], [0.0, 0.4], [0.1, 0.1]], 2),   # three rows: R^3, not R^2
+], ids=["flat", "empty", "row_wise"])
+def test_project_law_columns_layout(tmp_path, capsys, columns, code):
+    law = {"dim": 2, "columns": columns, "noise_variance": 1.0,
+           "product": "rademacher"}
+    law_path = tmp_path / "law.json"
+    law_path.write_text(json.dumps(law))
+    out = tmp_path / "cloud.csv"
+    assert run(["project", "--mode", "law", "--law-json", str(law_path),
+                "--count", "5", "--seed", "4", "--out", str(out)]) == code
+    if code:
+        assert "columns live in R^3, expected R^2" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert np.loadtxt(out, delimiter=",").shape == (5, 2)
+
+
 def test_dickey_and_clt_commands(capsys):
     assert run(["dickey", "--k", "1", "--m", "1", "--n", "10",
                 "--samples", "4000", "--seed", "6"]) == 0
@@ -233,8 +279,10 @@ def test_dickey_and_clt_commands(capsys):
     ["sample", "--dist", "lpball", "--p", "0", "--n", "4", "--count", "3"],
     ["sample", "--dist", "pgaussian", "--p", "2", "--n", "0", "--count", "3"],
     ["dickey", "--k", "1", "--m", "1", "--n", "10", "--samples", "0"],
+    ["sample", "--dist", "lpball", "--p", "2", "--n", "3", "--scale", "inf",
+     "--count", "2"],
 ], ids=["lpball_n0", "lpball_p0.5", "lpball_p0", "pgaussian_n0",
-                         "dickey_samples0"])
+                         "dickey_samples0", "lpball_scale_inf"])
 def test_out_of_domain_exits_2(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
     assert run(args + ["--seed", "1", "--out", str(out)]) == 2

@@ -67,8 +67,8 @@ def test_config_to_matrix_empty_and_multiplicity():
 def test_config_to_matrix_gram_invariant_under_resign():
     mu1 = PointConfiguration.from_atoms(2, [((0.5, 0.2), 1), ((0.1, -0.4), 2)])
     mu2 = PointConfiguration.from_atoms(2, [((-0.5, -0.2), 1), ((-0.1, 0.4), 2)])
-    g1 = gram(config_to_matrix(mu1).matrix())
-    g2 = gram(config_to_matrix(mu2).matrix())
+    g1 = gram(config_to_matrix(mu1).columns)
+    g2 = gram(config_to_matrix(mu2).columns)
     assert np.allclose(g1, g2)
 
 
@@ -87,7 +87,7 @@ def test_stiefel_round_trip_columns():
     # recovered columns match the originals up to sign and order
     original = ColumnList.from_columns(2, v)
     assert signed_permutation_equal(cl, original, 1e-12)
-    assert abs(operator_norm(gram(cl.matrix())) - 1.0) < 1e-9
+    assert abs(operator_norm(gram(cl.columns)) - 1.0) < 1e-9
 
 
 def test_psi_empty_is_isotropic_gaussian():

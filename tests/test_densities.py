@@ -161,12 +161,20 @@ def test_p_gaussian_density_domain():
     for p in (0.0, 0.5, -1.0, math.nan):
         with pytest.raises(DomainError):
             log_p_gaussian_density(0.5, p)
+    for p in (1.0, 2.0, math.inf):
+        with pytest.raises(DomainError, match="NaN"):
+            log_p_gaussian_density(math.nan, p)
 
 
 def test_pth_power_density_domain():
     for p in (0.0, 0.5, math.inf, math.nan):
         with pytest.raises(DomainError):
             log_pth_power_density(1.0, p)
+    for p in (1.0, 2.0):
+        with pytest.raises(DomainError, match="NaN"):
+            log_pth_power_density(math.nan, p)
+        # no mass at infinity; at p = 1 this was 0 * log(inf) = NaN
+        assert log_pth_power_density(math.inf, p) == -math.inf
 
 
 def test_pth_power_density_reduces_to_chi2():

@@ -54,7 +54,7 @@ def test_projected_law_covariance():
     sigma_y2 = sigma_p_squared(1.0)
     law = ProjectedLaw(a=a, noise_variance=1.0, product_law=PGaussianParams(1.0))
     cloud = sample_projected_law(SeededRng(3), law, 4 * 10**4)
-    aat = a.matrix() @ a.matrix().T
+    aat = a.columns @ a.columns.T
     expected = sigma_y2 * aat + 1.0 * (np.eye(2) - aat)
     sample_cov = np.cov(cloud.points.T)
     assert np.allclose(sample_cov, expected, atol=0.05)
@@ -66,6 +66,45 @@ def test_projected_law_norm_bound():
                      product_law=PGaussianParams(2.0))
     with pytest.raises(ValueError):
         columns(1, [[1.2]])  # single column already violates the norm cap
+    # an infinite variance gave a NaN characteristic function at t = 0
+    for var in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="noise_variance"):
+            ProjectedLaw(a=ColumnList.empty(2), noise_variance=var,
+                         product_law=PGaussianParams(2.0))
+
+
+def test_projected_law_admissibility_is_the_sampler_rule():
+    # ||A A^T|| = 1 + 5e-10 passes a 1e-9 norm tolerance but leaves the
+    # complement an eigenvalue below -NEG_EIG_TOL: refused when built
+    with pytest.raises(DomainError, match="must be <= 1"):
+        ProjectedLaw(a=columns(1, [[math.sqrt(1.0 + 5e-10)]]), noise_variance=1.0,
+                     product_law=PGaussianParams(2.0))
+    # within NEG_EIG_TOL of the boundary the law builds and samples
+    law = ProjectedLaw(a=columns(1, [[math.sqrt(1.0 + 5e-11)]]), noise_variance=1.0,
+                       product_law=PGaussianParams(2.0))
+    assert sample_projected_law(SeededRng(30), law, 10).count == 10
+
+
+def test_projected_law_stores_complement_and_root():
+    a = columns(2, [[0.5, 0.1, -0.2], [0.0, 0.4, 0.3]])
+    law = ProjectedLaw(a=a, noise_variance=0.7, product_law=RademacherLaw())
+    assert np.array_equal(law.complement, np.eye(2) - a.columns @ a.columns.T)
+    assert np.allclose(law.root @ law.root, law.complement, atol=1e-14)
+    assert "root" not in repr(law) and "complement" not in repr(law)
+    assert law == ProjectedLaw(a=a, noise_variance=0.7, product_law=RademacherLaw())
+
+
+def test_projected_law_calls_build_no_gram_or_root(monkeypatch):
+    law = ProjectedLaw(a=columns(2, [[0.5, 0.1], [0.0, 0.4]]), noise_variance=1.0,
+                       product_law=PGaussianParams(2.0))
+
+    def refuse(*_args):
+        raise AssertionError("per-call linear algebra")
+
+    monkeypatch.setattr(projections, "gram", refuse)
+    monkeypatch.setattr(projections, "psd_sqrt", refuse)
+    assert sample_projected_law(SeededRng(31), law, 5).count == 5
+    assert 0.0 < characteristic_function(law, [0.3, -0.2]).real <= 1.0
 
 
 def test_project_product_gaussian_case():

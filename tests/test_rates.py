@@ -133,7 +133,7 @@ def test_partial_rates_non_decreasing_in_columns():
         cl = ColumnList.from_columns(k, a)
         if cl.count == 0:
             continue
-        raw = [rate_finite(cl.prefix(ell)) for ell in range(1, cl.count + 1)]
+        raw = [rate_finite(cl.columns[:, :ell]) for ell in range(1, cl.count + 1)]
         for lo, hi in zip(raw, raw[1:]):
             assert hi >= lo - 1e-12
         _, report = rate_truncated(cl)
@@ -168,7 +168,7 @@ def test_stacked_prefix_rates_match_rate_finite():
             a *= 0.95 / math.sqrt(max(operator_norm(gram(a)), 1e-12))
         cl = ColumnList.from_columns(k, a)
         _, report = rate_truncated(cl)
-        ref = [rate_finite(cl.prefix(ell)) for ell in range(1, cl.count + 1)]
+        ref = [rate_finite(cl.columns[:, :ell]) for ell in range(1, cl.count + 1)]
         assert np.allclose(report.partial_rates, ref, rtol=1e-12, atol=1e-12)
         n = int(gen.integers(1, 12))
         sq = gen.standard_normal((n, n))

@@ -241,6 +241,8 @@ def test_stiefel_gram_is_identity_across_sizes():
     lambda gen: lp_ball_batch(gen, 2.0, 0, 1.0, 5),
     lambda gen: lp_ball_batch(gen, 2.0, 4, 0.0, 5),
     lambda gen: lp_ball_batch(gen, 2.0, 4, -1.0, 5),
+    lambda gen: lp_ball_batch(gen, 2.0, 4, math.inf, 5),
+    lambda gen: lp_ball_batch(gen, 2.0, 4, math.nan, 5),
     lambda gen: p_gaussian_batch(gen, 0.0, 5),
     lambda gen: p_gaussian_batch(gen, 0.5, 5),
     lambda gen: p_gaussian_batch(gen, 2.0, (5, 0)),
@@ -248,7 +250,8 @@ def test_stiefel_gram_is_identity_across_sizes():
     lambda gen: stiefel_batch(gen, 2, 4, 0),
     lambda gen: stiefel_batch(gen, 2, 4, -1),
 ], ids=["wishart_n_lt_k", "dickey_N0", "lpball_p0.5", "lpball_pinf",
-        "lpball_n0", "lpball_scale0", "lpball_scale_neg", "pgauss_p0",
+        "lpball_n0", "lpball_scale0", "lpball_scale_neg", "lpball_scale_inf",
+        "lpball_scale_nan", "pgauss_p0",
         "pgauss_p0.5", "pgauss_zero_extent", "stiefel_k0", "stiefel_count0",
         "stiefel_count_neg"])
 def test_batched_samplers_refuse_out_of_domain(draw):

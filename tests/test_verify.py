@@ -147,6 +147,10 @@ def test_experiment_validation():
     with pytest.raises(DomainError):
         LdpExperiment(k=2, ell=2, target=np.zeros((2, 2)), radius=0.05,
                       n_values=[3, 10], samples_per_n=10)
+    for radius in (-0.05, math.nan, math.inf):
+        with pytest.raises(DomainError, match="radius must be finite"):
+            LdpExperiment(k=1, ell=1, target=[[0.1]], radius=radius,
+                          n_values=[10, 20], samples_per_n=10)
 
 
 def test_typical_event_has_zero_slope():
@@ -362,6 +366,17 @@ def test_configuration_requires_n_ge_k():
     with pytest.raises(DomainError):
         run_ldp_configuration(SeededRng(1), 3, PointConfiguration.empty(3),
                               r=2.0, rho=0.05, n_values=[2, 3], samples_per_n=1000)
+
+
+@pytest.mark.parametrize("r, rho", [(-0.3, 0.05), (0.3, -0.05), (math.nan, 0.05),
+                                    (0.3, math.nan), (math.inf, 0.05)])
+def test_configuration_refuses_bad_radii(r, rho):
+    # the hit test squares r and rho, so a negative radius used to run the
+    # experiment of its absolute value
+    with pytest.raises(DomainError, match="finite and > 0"):
+        run_ldp_configuration(SeededRng(1006), 1, PointConfiguration.from_atoms(
+            1, [(np.array([0.4]), 1)]), r=r, rho=rho, n_values=[30, 40],
+            samples_per_n=1000)
 
 
 def test_dickey_check_accepts_and_rejects():
