@@ -29,13 +29,7 @@ from .densities import (
     log_wishart_density,
     sigma_p_squared,
 )
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    InfeasibleExperiment,
-    LdpLabError,
-    NumericalFailure,
-)
+from .errors import DomainError, InfeasibleExperiment, LdpLabError, NumericalFailure
 from .linalg import ColumnList, as_matrix
 from .projections import (
     ProjectedLaw,
@@ -87,6 +81,8 @@ def _usage(message: str) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.scale is not None and args.dist != "lpball":
+        return _usage("--scale applies only to --dist lpball")
     rng = SeededRng(args.seed, args.stream)
     gen = rng.generator()
     if args.dist == "stiefel":
@@ -462,8 +458,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, DimensionMismatch, LdpLabError, ValueError, KeyError,
-            OSError, json.JSONDecodeError) as exc:
+    except (LdpLabError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ reordering atoms.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,9 @@ class PointConfiguration:
         order: list = []
         for point, mult in atoms:
             point = np.asarray(point, dtype=np.float64).reshape(dim)
-            if int(mult) < 1:
-                raise DomainError("multiplicity must be >= 1")
+            if not (isinstance(mult, numbers.Real) and mult >= 1 and mult % 1 == 0):
+                raise DomainError(f"multiplicity must be a whole number >= 1, got {mult!r}")
+            mult = int(mult)
             if not np.all(np.isfinite(point)):
                 raise ValueError("atom coordinates must be finite")
             if np.max(np.abs(point)) > 1.0 + 1e-9:
@@ -62,9 +64,9 @@ class PointConfiguration:
             point = _canonical_sign(point)
             key = point.tobytes()
             if key in merged:
-                merged[key][1] += int(mult)
+                merged[key][1] += mult
             else:
-                merged[key] = [point, int(mult)]
+                merged[key] = [point, mult]
                 order.append(key)
         atom_list = [(merged[k][0], merged[k][1]) for k in order]
         row_mass = np.zeros(dim)
@@ -237,30 +239,29 @@ def recover_from_power_sums(sums, count_bound: int, tol: float) -> list:
     raise RecoveryFailure("no Hankel-pencil rank gave a consistent structure")
 
 
-def _row_power_sums(cols: np.ndarray, k_max: int) -> np.ndarray:
-    a = np.abs(cols)
-    ks = np.arange(3, k_max + 1)
-    # shape (rows, len(ks))
-    return np.sum(a[:, :, None] ** ks[None, None, :], axis=1)
-
-
 def identify_equivalent(p: ColumnList, q: ColumnList, k_max: int, tol: float) -> bool:
     """True iff two column lists are signed-permutation equivalent.
 
     Runs a necessary screen first: for each row, the power sums of the entry
     moduli for k = 3..k_max must agree; only then is the exact matching
-    attempted.
+    attempted.  The moduli are divided by the largest one (when it exceeds
+    1), so every power is at most 1 and matched entries within ``tol`` move
+    each sum by at most k_max * count * tol.
     """
     if p.dim != q.dim:
         raise DimensionMismatch("column lists live in different dimensions")
     if k_max < 3:
         raise DomainError("k_max must be >= 3")
+    if not tol >= 0.0:
+        raise DomainError(f"tol must be >= 0, got {tol}")
     if p.count != q.count:
         return False
     if p.count:
-        sp = _row_power_sums(p.columns, k_max)
-        sq = _row_power_sums(q.columns, k_max)
+        a = np.abs(np.stack([p.columns, q.columns]))
+        a /= max(1.0, a.max())
+        # shape (2, rows, k_max - 2)
+        sums = np.sum(a[..., None] ** np.arange(3, k_max + 1), axis=2)
         slack = 4.0 * k_max * p.count * tol + 1e-12
-        if np.max(np.abs(sp - sq)) > slack:
+        if np.max(np.abs(sums[0] - sums[1])) > slack:
             return False
     return signed_permutation_equal(p, q, tol)

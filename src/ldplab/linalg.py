@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from .errors import DimensionMismatch, NumericalFailure
+from .errors import DimensionMismatch, DomainError, NumericalFailure
 
 # Eigenvalues of a Gram matrix are >= 0 in exact arithmetic; anything more
 # negative than this is treated as a genuine failure, anything above is
@@ -165,46 +166,24 @@ class ColumnList:
         return cls.from_columns(dim, np.zeros((dim, 0)))
 
 
-def _match_columns(cols_p, cols_q, used, idx, tol) -> bool:
-    # depth-first signed matching; candidate q-columns are pre-restricted to
-    # compatible norms so ties only branch within small equal-norm groups
-    if idx == len(cols_p):
-        return True
-    p = cols_p[idx]
-    np_norm = np.linalg.norm(p)
-    for j, q in enumerate(cols_q):
-        if used[j]:
-            continue
-        if abs(np.linalg.norm(q) - np_norm) > tol:
-            continue
-        if min(np.linalg.norm(p - q), np.linalg.norm(p + q)) <= tol:
-            used[j] = True
-            if _match_columns(cols_p, cols_q, used, idx + 1, tol):
-                return True
-            used[j] = False
-    return False
-
-
-def _sorted_columns(cl: ColumnList):
-    cols = [cl.columns[:, j] for j in range(cl.count)]
-    # norm descending, then lexicographic on absolute entries: deterministic
-    # and independent of column signs
-    cols.sort(key=lambda c: (-np.linalg.norm(c), tuple(-np.abs(c))))
-    return cols
-
-
 def signed_permutation_equal(p: ColumnList, q: ColumnList, tol: float) -> bool:
     """True iff the columns of ``p`` and ``q`` match bijectively up to sign.
 
     Each column c of ``p`` must pair with a distinct column of ``q`` equal to
-    +-c within Euclidean distance ``tol``.  Columns are processed in
-    (norm desc, lexicographic) order with backtracking on equal-norm ties.
+    +-c within Euclidean distance ``tol`` (inclusive).  That is a perfect
+    matching in the bipartite graph of pairs within ``tol``; it exists
+    exactly when one linear assignment solve on the 0/1 cost "farther than
+    ``tol``" reaches cost 0 (Kuhn 1955; Crouse 2016).
     """
     if p.dim != q.dim:
         raise DimensionMismatch("column lists live in different dimensions")
+    if not tol >= 0.0:
+        raise DomainError(f"tol must be >= 0, got {tol}")
     if p.count != q.count:
         return False
-    cols_p = _sorted_columns(p)
-    cols_q = _sorted_columns(q)
-    used = [False] * len(cols_q)
-    return _match_columns(cols_p, cols_q, used, 0, tol)
+    a = p.columns.T[:, None, :]
+    b = q.columns.T[None, :, :]
+    far = np.minimum(np.linalg.norm(a - b, axis=-1),
+                     np.linalg.norm(a + b, axis=-1)) > tol
+    rows, cols = linear_sum_assignment(far)
+    return not far[rows, cols].any()

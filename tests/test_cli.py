@@ -15,6 +15,16 @@ def run(args):
     return main(args)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"CLI output holds the non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    """Parse CLI JSON output (stdout, sidecar or report), refusing the
+    ``Infinity`` and ``NaN`` that ``json.dumps`` writes for non-finite floats."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def test_sample_stiefel_row_shape(tmp_path, capsys):
     out = tmp_path / "s.csv"
     code = run(["sample", "--dist", "stiefel", "--k", "2", "--n", "8",
@@ -23,7 +33,7 @@ def test_sample_stiefel_row_shape(tmp_path, capsys):
     rows = [line.split(",") for line in out.read_text().strip().splitlines()]
     assert len(rows) == 10
     assert all(len(r) == 16 for r in rows)
-    meta = json.loads((tmp_path / "s.csv.json").read_text())
+    meta = strict_json((tmp_path / "s.csv.json").read_text())
     assert meta["row_shape"] == [2, 8]
     assert meta["schema_version"] == 1
     assert meta["build_id"] == f"ldplab-{__version__}"
@@ -79,20 +89,20 @@ def test_sample_rate_round_trip(tmp_path, capsys):
 
 def test_density_commands(capsys):
     assert run(["density", "--which", "sigma2", "--p", "inf"]) == 0
-    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1 / 3)
+    assert strict_json(capsys.readouterr().out)["value"] == pytest.approx(1 / 3)
     assert run(["density", "--which", "corner", "--n", "4", "--at", "[[0.0]]"]) == 0
-    val = json.loads(capsys.readouterr().out)["log_density"]
+    val = strict_json(capsys.readouterr().out)["log_density"]
     assert val == pytest.approx(math.log(2 / math.pi))
     assert run(["density", "--which", "pgaussian", "--p", "1", "--x", "1.0"]) == 0
-    val = json.loads(capsys.readouterr().out)["log_density"]
+    val = strict_json(capsys.readouterr().out)["log_density"]
     assert val == pytest.approx(-1 - math.log(2))
 
 
 def test_density_p_domain(capsys):
     assert run(["density", "--which", "pgaussian", "--p", "inf", "--x", "0.5"]) == 0
-    assert json.loads(capsys.readouterr().out)["log_density"] == -math.log(2)
+    assert strict_json(capsys.readouterr().out)["log_density"] == -math.log(2)
     assert run(["density", "--which", "pgaussian", "--p", "inf", "--x", "2"]) == 0
-    assert json.loads(capsys.readouterr().out)["log_density"] == "-inf"
+    assert strict_json(capsys.readouterr().out)["log_density"] == "-inf"
     assert run(["density", "--which", "pgaussian", "--p", "0", "--x", "0.5"]) == 2
     assert run(["density", "--which", "pth-power", "--p", "0.5", "--x", "1"]) == 2
     assert run(["density", "--which", "pth-power", "--p", "inf", "--x", "1"]) == 2
@@ -125,7 +135,7 @@ def test_verify_quadrature_config(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     prefix = tmp_path / "rep"
     assert run(["verify", "--config", str(path), "--out-prefix", str(prefix)]) == 0
-    report = json.loads((tmp_path / "rep.json").read_text())["report"]
+    report = strict_json((tmp_path / "rep.json").read_text())["report"]
     assert report["relative_gap"] < 0.15
     csv_rows = (tmp_path / "rep.csv").read_text().strip().splitlines()
     assert len(csv_rows) == 4
@@ -190,7 +200,7 @@ def test_verify_configuration_experiment(tmp_path):
     path.write_text(json.dumps(cfg))
     assert run(["verify", "--config", str(path),
                 "--out-prefix", str(tmp_path / "conf")]) == 0
-    report = json.loads((tmp_path / "conf.json").read_text())["report"]
+    report = strict_json((tmp_path / "conf.json").read_text())["report"]
     assert abs(report["fitted_slope"]) < 0.01
 
 
@@ -204,6 +214,20 @@ def test_verify_rejects_negative_radius(tmp_path, capsys):
     prefix = tmp_path / "conf"
     assert run(["verify", "--config", str(path), "--out-prefix", str(prefix)]) == 2
     assert "finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "conf.json").exists()
+
+
+@pytest.mark.parametrize("multiplicity", [1.7, math.inf], ids=["fraction", "infinity"])
+def test_verify_rejects_non_whole_multiplicity(tmp_path, capsys, multiplicity):
+    # 1.7 used to run multiplicity 1 and echo 1.7; Infinity raised OverflowError
+    cfg = {"schema_version": 1, "seed": 1006, "experiment": "ldp_configuration",
+           "k": 1, "atoms": [{"point": [0.4], "multiplicity": multiplicity}],
+           "r": 0.3, "rho": 0.05, "n_values": [30, 40], "samples_per_n": 1000}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    prefix = tmp_path / "conf"
+    assert run(["verify", "--config", str(path), "--out-prefix", str(prefix)]) == 2
+    assert "whole number >= 1" in capsys.readouterr().err
     assert not (tmp_path / "conf.json").exists()
 
 
@@ -223,7 +247,7 @@ def test_project_and_compare(tmp_path, capsys):
     assert "k must be <= n" in capsys.readouterr().err
     assert run(["compare", "--k", "1", "--p", "1", "--n-list", "20,40",
                 "--count", "1000", "--grid", "64", "--seed", "5"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert [d["n"] for d in doc] == [20, 40]
     assert run(["compare", "--k", "4", "--p", "1", "--n-list", "20,40",
                 "--count", "1000", "--seed", "5"]) == 2
@@ -265,11 +289,11 @@ def test_project_law_columns_layout(tmp_path, capsys, columns, code):
 def test_dickey_and_clt_commands(capsys):
     assert run(["dickey", "--k", "1", "--m", "1", "--n", "10",
                 "--samples", "4000", "--seed", "6"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["min_pvalue"] > 0.001
     assert run(["clt", "--k", "1", "--p", "2", "--n", "50",
                 "--samples", "2000", "--seed", "6"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["min_pvalue"] > 0.001
 
 
@@ -281,21 +305,26 @@ def test_dickey_and_clt_commands(capsys):
     ["dickey", "--k", "1", "--m", "1", "--n", "10", "--samples", "0"],
     ["sample", "--dist", "lpball", "--p", "2", "--n", "3", "--scale", "inf",
      "--count", "2"],
+    # only lpball reads --scale; it used to reach the sidecar as Infinity/NaN
+    ["sample", "--dist", "stiefel", "--k", "1", "--n", "2", "--count", "1",
+     "--scale", "inf"],
+    ["sample", "--dist", "pgaussian", "--p", "2", "--count", "1", "--scale", "nan"],
 ], ids=["lpball_n0", "lpball_p0.5", "lpball_p0", "pgaussian_n0",
-                         "dickey_samples0", "lpball_scale_inf"])
+        "dickey_samples0", "lpball_scale_inf", "stiefel_scale_inf",
+        "pgaussian_scale_nan"])
 def test_out_of_domain_exits_2(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
     assert run(args + ["--seed", "1", "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_clt_report_writes_infinite_p(tmp_path, capsys):
     out = tmp_path / "clt.json"
     assert run(["clt", "--k", "1", "--p", "inf", "--n", "50",
                 "--samples", "500", "--seed", "6", "--out", str(out)]) == 0
-    assert json.loads(capsys.readouterr().out)["p"] == "+inf"
-    assert json.loads(out.read_text())["p"] == "+inf"
+    assert strict_json(capsys.readouterr().out)["p"] == "+inf"
+    assert strict_json(out.read_text())["p"] == "+inf"
 
 
 def test_malformed_matrix_exit_code(capsys):
@@ -315,7 +344,7 @@ def test_bundled_quadrature_config(tmp_path):
     assert cfg.exists()
     prefix = tmp_path / "bundled"
     assert run(["verify", "--config", str(cfg), "--out-prefix", str(prefix)]) == 0
-    report = json.loads((tmp_path / "bundled.json").read_text())["report"]
+    report = strict_json((tmp_path / "bundled.json").read_text())["report"]
     assert report["relative_gap"] < 0.15
 
 
@@ -325,4 +354,4 @@ def test_density_wishart_rejects_non_symmetric_matrix(capsys):
     assert "not symmetric" in capsys.readouterr().err
     assert run(["density", "--which", "wishart", "--n", "3",
                 "--at", "[[1, 0.5], [0.5, 1]]"]) == 0
-    assert math.isfinite(json.loads(capsys.readouterr().out)["log_density"])
+    assert math.isfinite(strict_json(capsys.readouterr().out)["log_density"])

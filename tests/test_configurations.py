@@ -56,6 +56,20 @@ def test_config_invariants():
         PointConfiguration.from_atoms(1, [((1.2,), 1)])
 
 
+@pytest.mark.parametrize("mult", [0, 1.7, math.inf, math.nan, "2"],
+                         ids=["zero", "fraction", "inf", "nan", "string"])
+def test_config_refuses_non_whole_multiplicity(mult):
+    # int() used to truncate 1.7 to 1 and overflow on inf
+    with pytest.raises(DomainError, match="whole number >= 1"):
+        PointConfiguration.from_atoms(1, [((0.4,), mult)])
+
+
+def test_config_accepts_whole_float_multiplicity():
+    mu = PointConfiguration.from_atoms(1, [((0.4,), 2.0), ((-0.4,), np.int64(1))])
+    assert mu.atoms[0][1] == 3
+    assert type(mu.atoms[0][1]) is int
+
+
 def test_config_to_matrix_empty_and_multiplicity():
     assert config_to_matrix(PointConfiguration.empty(2)).count == 0
     mu = PointConfiguration.from_atoms(2, [((-0.6, 0.0), 2)])
@@ -273,3 +287,53 @@ def test_identify_equivalent_matches_brute_force():
             q_cols[:, np.linalg.norm(q_cols, axis=0) < 1e-3] += 0.2
         q = ColumnList.from_columns(k, q_cols)
         assert identify_equivalent(p, q, 12, 1e-6) == brute_force_signed_equal(p, q, 1e-6)
+    # repeated columns, as config_to_matrix writes an atom of multiplicity
+    # >= 2: both lists draw up to 5 columns from a pool of 2, and one q column
+    # moves by 0, 5e-7 (inside tol) or 3e-6 (outside)
+    for _ in range(300):
+        k = int(gen.integers(1, 4))
+        m = int(gen.integers(1, 6))
+        pool = gen.uniform(-0.5, 0.5, (k, 2))
+        pool[:, np.linalg.norm(pool, axis=0) < 1e-3] += 0.2
+        cols = pool[:, gen.integers(0, 2, m)]
+        if gen.uniform() < 0.5:
+            q_cols = cols[:, gen.permutation(m)] * gen.choice([-1.0, 1.0], m)
+        else:
+            q_cols = pool[:, gen.integers(0, 2, m)]
+        q_cols[gen.integers(0, k), gen.integers(0, m)] += gen.choice([0.0, 5e-7, 3e-6])
+        p = ColumnList.from_columns(k, cols)
+        q = ColumnList.from_columns(k, q_cols)
+        expected = brute_force_signed_equal(p, q, 1e-6)
+        assert signed_permutation_equal(p, q, 1e-6) == expected
+        assert identify_equivalent(p, q, 12, 1e-6) == expected
+
+
+def test_identify_screen_holds_for_entries_above_one():
+    # ColumnList admits entries up to sqrt(dim); the screen used to compare
+    # unscaled power sums, whose k-th powers grow like 1.4^k
+    p = ColumnList.from_columns(2, [[1.4], [0.1]])
+    q = ColumnList.from_columns(2, [[1.4 + 5e-7], [0.1]])
+    assert signed_permutation_equal(p, q, 1e-6)
+    assert identify_equivalent(p, q, 12, 1e-6)
+    gen = np.random.default_rng(41)
+    for _ in range(300):
+        k = int(gen.integers(2, 4))
+        m = int(gen.integers(1, 6))
+        cols = gen.uniform(-1.0, 1.0, (k, m)) * np.sqrt(k)
+        norms = np.linalg.norm(cols, axis=0)
+        cols *= np.minimum(1.0, 0.999 * np.sqrt(k) / norms)
+        if gen.uniform() < 0.8:
+            q_cols = cols[:, gen.permutation(m)] * gen.choice([-1.0, 1.0], m)
+            q_cols[gen.integers(0, k), gen.integers(0, m)] += gen.choice([0.0, 5e-7, 3e-6])
+        else:
+            q_cols = cols * gen.uniform(0.9, 1.0)
+        p = ColumnList.from_columns(k, cols)
+        q = ColumnList.from_columns(k, q_cols)
+        assert identify_equivalent(p, q, 12, 1e-6) == signed_permutation_equal(p, q, 1e-6)
+
+
+@pytest.mark.parametrize("tol", [-1e-9, math.nan], ids=["negative", "nan"])
+def test_identify_refuses_bad_tol(tol):
+    p = ColumnList.from_columns(1, [[0.5]])
+    with pytest.raises(DomainError, match="tol must be >= 0"):
+        identify_equivalent(p, p, 12, tol)

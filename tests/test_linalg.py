@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ldplab.errors import DimensionMismatch, NumericalFailure
+from ldplab.errors import DimensionMismatch, DomainError, NumericalFailure
 from ldplab.linalg import (
     ColumnList,
     gram,
@@ -179,6 +179,41 @@ def test_signed_permutation_distinct():
 def test_signed_permutation_dim_mismatch():
     with pytest.raises(DimensionMismatch):
         signed_permutation_equal(cols(2, [[0.5], [0.0]]), cols(3, [[0.5], [0.0], [0.0]]), 1e-9)
+
+
+def test_signed_permutation_empty_and_count():
+    assert signed_permutation_equal(ColumnList.empty(2), ColumnList.empty(2), 0.0)
+    assert not signed_permutation_equal(cols(1, [[0.5]]), cols(1, [[0.5, 0.5]]), 1e-6)
+
+
+def test_signed_permutation_tol_is_inclusive():
+    # 0.5 and 0.5 + 2^-20 are exact binary fractions, so their distance is
+    # exactly tol
+    tol = 2.0 ** -20
+    p = cols(1, [[0.5, 0.25]])
+    q = cols(1, [[0.25, -(0.5 + tol)]])
+    assert signed_permutation_equal(p, q, tol)
+    assert not signed_permutation_equal(p, q, np.nextafter(tol, 0.0))
+
+
+@pytest.mark.parametrize("tol", [-1e-9, math.nan], ids=["negative", "nan"])
+def test_signed_permutation_refuses_bad_tol(tol):
+    p = cols(1, [[0.5]])
+    with pytest.raises(DomainError, match="tol must be >= 0"):
+        signed_permutation_equal(p, p, tol)
+
+
+@pytest.mark.parametrize("m", [10, 40])
+def test_signed_permutation_repeated_columns(m):
+    # config_to_matrix repeats an atom's column once per multiplicity; a
+    # search over orderings took seconds at 10 such columns and did not end
+    # within a minute at 40
+    c = np.tile([[0.3], [-0.2]], m)
+    d = c.copy()
+    d[0, -1] += 3e-6
+    assert not signed_permutation_equal(cols(2, c), cols(2, d), 1e-6)
+    d[0, -1] = 0.3 + 5e-7
+    assert signed_permutation_equal(cols(2, c), cols(2, -d), 1e-6)
 
 
 def test_signed_permutation_properties():
