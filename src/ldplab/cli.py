@@ -6,8 +6,8 @@ row-major, full 17-digit precision) with a JSON sidecar echoing the
 configuration and the build id; reports go to JSON.  Every command is
 deterministic given its arguments and seed.
 
-Exit codes: 0 ok, 2 usage or malformed input, 3 numerical failure,
-4 infeasible experiment.
+Commands raise typed errors; only main() turns them into exit codes: 0 ok,
+2 usage or malformed input, 3 numerical failure, 4 infeasible experiment.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .configurations import PointConfiguration
+from .configurations import PointConfiguration, whole_number
 from .densities import (
     log_corner_density,
     log_inverted_t_density,
@@ -48,7 +48,7 @@ from .samplers import (
     stiefel_batch,
     wishart_batch,
 )
-from .verify import (LdpExperiment, json_float, run_clt_check, run_dickey_check,
+from .verify import (LdpExperiment, json_doc, run_clt_check, run_dickey_check,
                      run_ldp_configuration, run_ldp_corner)
 
 
@@ -60,13 +60,20 @@ def _write_csv(path: str, rows) -> None:
     np.savetxt(path, rows, fmt="%.17g", delimiter=",")
 
 
+def _json(doc, **fmt) -> str:
+    """The one JSON writer: every document goes through ``json_doc``."""
+    return json.dumps(json_doc(doc), **fmt)
+
+
+def _write_json(path: str, doc) -> None:
+    text = _json(doc, indent=2, sort_keys=True)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 def _write_sidecar(path: str, payload: dict) -> None:
-    payload = dict(payload)
-    payload.setdefault("schema_version", 1)
-    payload["build_id"] = _build_id()
-    with open(path + ".json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path + ".json",
+                {"schema_version": 1, **payload, "build_id": _build_id()})
 
 
 def _parse_p(text: str) -> float:
@@ -75,44 +82,39 @@ def _parse_p(text: str) -> float:
     return float(text)
 
 
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     if args.scale is not None and args.dist != "lpball":
-        return _usage("--scale applies only to --dist lpball")
+        raise DomainError("--scale applies only to --dist lpball")
     rng = SeededRng(args.seed, args.stream)
     gen = rng.generator()
     if args.dist == "stiefel":
         if args.k is None or args.n is None:
-            return _usage("stiefel requires --k and --n")
+            raise DomainError("stiefel requires --k and --n")
         draws = stiefel_batch(gen, args.k, args.n, args.count)
         shape = [args.k, args.n]
     elif args.dist == "orthogonal":
         if args.n is None:
-            return _usage("orthogonal requires --n")
+            raise DomainError("orthogonal requires --n")
         draws = stiefel_batch(gen, args.n, args.n, args.count)
         shape = [args.n, args.n]
     elif args.dist == "wishart":
         if args.k is None or args.n is None:
-            return _usage("wishart requires --k and --n")
+            raise DomainError("wishart requires --k and --n")
         draws = wishart_batch(gen, args.k, args.n, args.count)
         shape = [args.k, args.k]
     elif args.dist == "pgaussian":
         if args.p is None:
-            return _usage("pgaussian requires --p")
+            raise DomainError("pgaussian requires --p")
         width = 1 if args.n is None else args.n
         draws = p_gaussian_batch(gen, args.p, (args.count, 1, width))
         shape = [1, width]
     elif args.dist == "lpball":
         if args.p is None or args.n is None:
-            return _usage("lpball requires --p and --n")
+            raise DomainError("lpball requires --p and --n")
         draws = lp_ball_batch(gen, args.p, args.n, args.scale, args.count)[:, None, :]
         shape = [1, args.n]
     else:  # pragma: no cover - argparse restricts choices
-        return _usage(f"unknown distribution {args.dist}")
+        raise DomainError(f"unknown distribution {args.dist}")
 
     rows = draws.reshape(args.count, -1)
     _write_csv(args.out, rows)
@@ -121,7 +123,7 @@ def _cmd_sample(args) -> int:
         "dist": args.dist,
         "k": args.k,
         "n": args.n,
-        "p": json_float(args.p) if args.p is not None else None,
+        "p": args.p,
         "scale": args.scale,
         "count": args.count,
         "seed": args.seed,
@@ -129,7 +131,6 @@ def _cmd_sample(args) -> int:
         "row_shape": shape,
     })
     print(f"wrote {args.count} rows to {args.out}")
-    return 0
 
 
 def _load_matrix(args) -> np.ndarray:
@@ -155,7 +156,7 @@ def _load_matrix(args) -> np.ndarray:
     return rows[args.row].reshape(shape[0], shape[1])
 
 
-def _cmd_rate(args) -> int:
+def _cmd_rate(args) -> None:
     matrix = _load_matrix(args)
     columns = ColumnList.from_columns(matrix.shape[0], matrix)
     value, report = rate_truncated(columns)
@@ -163,54 +164,41 @@ def _cmd_rate(args) -> int:
         print("rate: +inf (boundary)" if report.boundary else "rate: +inf")
     else:
         print(f"rate: {value:.17g}")
-    doc = {
-        "rate": json_float(value),
-        "boundary": report.boundary,
-        "truncation_level": report.truncation_level,
-        "partial_rates": [json_float(v) for v in report.partial_rates],
-        "converged": report.converged,
-        "tail_bound": report.tail_bound,
-    }
-    print(json.dumps(doc, indent=2, sort_keys=True))
-    return 0
+    print(_json({"rate": value, **json_doc(report)}, indent=2, sort_keys=True))
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args) -> None:
     if args.which == "sigma2":
         if args.p is None:
-            return _usage("sigma2 requires --p")
-        print(json.dumps({"value": sigma_p_squared(args.p)}))
-        return 0
-    if args.which == "pgaussian":
+            raise DomainError("sigma2 requires --p")
+        print(_json({"value": sigma_p_squared(args.p)}))
+        return
+    if args.which in ("pgaussian", "pth-power"):
         if args.p is None or args.x is None:
-            return _usage("pgaussian requires --p and --x")
-        print(json.dumps({"log_density": json_float(log_p_gaussian_density(args.x, args.p))}))
-        return 0
-    if args.which == "pth-power":
-        if args.p is None or args.x is None:
-            return _usage("pth-power requires --p and --x")
-        print(json.dumps({"log_density": json_float(log_pth_power_density(args.x, args.p))}))
-        return 0
+            raise DomainError(f"{args.which} requires --p and --x")
+        density = {"pgaussian": log_p_gaussian_density,
+                   "pth-power": log_pth_power_density}[args.which]
+        print(_json({"log_density": density(args.x, args.p)}))
+        return
     if args.at is None:
-        return _usage(f"{args.which} requires --at with a JSON matrix")
+        raise DomainError(f"{args.which} requires --at with a JSON matrix")
     matrix = as_matrix(json.loads(args.at))
     if args.which == "corner":
         if args.n is None:
-            return _usage("corner requires --n")
+            raise DomainError("corner requires --n")
         k, ell = matrix.shape
         value = log_corner_density(matrix, k, ell, args.n)
     elif args.which == "inverted-t":
         if args.dof is None:
-            return _usage("inverted-t requires --dof")
+            raise DomainError("inverted-t requires --dof")
         value = log_inverted_t_density(matrix, args.dof)
     elif args.which == "wishart":
         if args.n is None:
-            return _usage("wishart requires --n")
+            raise DomainError("wishart requires --n")
         value = log_wishart_density(matrix, matrix.shape[0], args.n)
     else:  # pragma: no cover
-        return _usage(f"unknown density {args.which}")
-    print(json.dumps({"log_density": json_float(value)}))
-    return 0
+        raise DomainError(f"unknown density {args.which}")
+    print(_json({"log_density": value}))
 
 
 def _product_law_from_doc(doc):
@@ -221,21 +209,21 @@ def _product_law_from_doc(doc):
     raise DomainError("product law must be 'rademacher' or {'p': value}")
 
 
-def _cmd_project(args) -> int:
+def _cmd_project(args) -> None:
     rng = SeededRng(args.seed, args.stream)
     if args.mode in ("lpball", "product"):
         if args.k is None or args.n is None or args.p is None:
-            return _usage(f"{args.mode} requires --k, --n and --p")
+            raise DomainError(f"{args.mode} requires --k, --n and --p")
         frame = stiefel_batch(rng.child(0), args.k, args.n, 1)[0]
         if args.mode == "lpball":
             cloud = project_lp_ball_batch(rng.child(1), frame, args.p, args.count)
         else:
             cloud = project_product_batch(rng.child(1), frame,
                                           PGaussianParams(args.p), args.count)
-        meta = {"k": args.k, "n": args.n, "p": json_float(args.p)}
+        meta = {"k": args.k, "n": args.n, "p": args.p}
     else:  # law
         if not args.law_json:
-            return _usage("law mode requires --law-json")
+            raise DomainError("law mode requires --law-json")
         with open(args.law_json) as fh:
             doc = json.load(fh)
         dim = int(doc["dim"])
@@ -257,27 +245,24 @@ def _cmd_project(args) -> int:
         **meta,
     })
     print(f"wrote {args.count} rows to {args.out}")
-    return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> None:
     n_list = [int(v) for v in args.n_list.split(",") if v.strip()]
     if not n_list:
-        return _usage("n-list must hold at least one value")
+        raise DomainError("n-list must hold at least one value")
     rng = SeededRng(args.seed, args.stream)
     pairs = compare_ball_vs_product(rng, args.k, args.p, n_list, args.count,
                                     grid=args.grid)
-    doc = [{"n": n, "lp_distance": d} for n, d in pairs]
-    print(json.dumps(doc, indent=2))
+    print(_json([{"n": n, "lp_distance": d} for n, d in pairs], indent=2))
     if args.out:
         _write_csv(args.out, pairs)
         _write_sidecar(args.out, {
-            "command": "compare", "k": args.k, "p": json_float(args.p),
+            "command": "compare", "k": args.k, "p": args.p,
             "n_list": n_list, "count": args.count, "grid": args.grid,
             "seed": args.seed, "stream": args.stream,
             "row_shape": [1, 2],
         })
-    return 0
 
 
 _CORNER_KEYS = {"schema_version", "seed", "stream", "experiment", "k", "ell",
@@ -288,66 +273,63 @@ _CONFIG_KEYS = {"schema_version", "seed", "stream", "experiment", "k",
                 "output_path"}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     with open(args.config) as fh:
         doc = json.load(fh)
     if doc.get("schema_version") != 1:
-        return _usage("config schema_version must be 1")
+        raise DomainError("config schema_version must be 1")
     kind = doc.get("experiment")
     allowed = {"ldp_corner": _CORNER_KEYS, "ldp_configuration": _CONFIG_KEYS}.get(kind)
     if allowed is None:
-        return _usage(f"unknown experiment {kind!r}")
+        raise DomainError(f"unknown experiment {kind!r}")
     unknown = set(doc) - allowed
     if unknown:
-        return _usage(f"unknown config fields: {sorted(unknown)}")
-    rng = SeededRng(int(doc["seed"]), int(doc.get("stream", 0)))
+        raise DomainError(f"unknown config fields: {sorted(unknown)}")
+    rng = SeededRng(whole_number(doc["seed"], "seed", 0),
+                    whole_number(doc.get("stream", 0), "stream", 0))
+    k = whole_number(doc["k"], "k", 1)
     if kind == "ldp_corner":
         exp = LdpExperiment(
-            k=int(doc["k"]),
-            ell=int(doc["ell"]),
+            k=k,
+            ell=whole_number(doc["ell"], "ell", 1),
             target=doc["target"],
             radius=float(doc["radius"]),
             n_values=doc["n_values"],
-            samples_per_n=int(doc["samples_per_n"]),
+            samples_per_n=doc["samples_per_n"],
             method=doc.get("method", "montecarlo"),
         )
         report = run_ldp_corner(rng, exp, threads=args.threads)
     else:
-        target = PointConfiguration.from_json_dict(
-            {"dim": doc["k"], "atoms": doc["atoms"]})
+        target = PointConfiguration.from_json_dict({"dim": k, "atoms": doc["atoms"]})
         report = run_ldp_configuration(
-            rng, int(doc["k"]), target, float(doc["r"]), float(doc["rho"]),
-            doc["n_values"], int(doc["samples_per_n"]), threads=args.threads,
+            rng, k, target, float(doc["r"]), float(doc["rho"]),
+            doc["n_values"], doc["samples_per_n"], threads=args.threads,
         )
     prefix = args.out_prefix or doc.get("output_path") or "slope_report"
-    with open(prefix + ".json", "w") as fh:
-        json.dump({"config": doc, "report": report.to_json_dict(),
-                   "build_id": _build_id()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(prefix + ".json",
+                {"config": doc, "report": report, "build_id": _build_id()})
     _write_csv(prefix + ".csv", report.per_n)
     print(f"fitted_slope: {report.fitted_slope:.6g}")
     print(f"rate_reference: {report.rate_reference:.6g}")
     print(f"relative_gap: {report.relative_gap:.6g}")
-    return 0
 
 
-def _print_report(report, out) -> int:
-    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-    print(text)
+def _print_report(report, out) -> None:
+    # min_pvalue is a property, so json_doc leaves it out
+    doc = {**json_doc(report), "min_pvalue": report.min_pvalue}
+    print(_json(doc, indent=2, sort_keys=True))
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    return 0
+        _write_json(out, doc)
 
 
-def _cmd_dickey(args) -> int:
-    return _print_report(run_dickey_check(
+def _cmd_dickey(args) -> None:
+    _print_report(run_dickey_check(
         SeededRng(args.seed, args.stream), args.k, args.m, args.n, args.samples,
         dof_offset=args.dof_offset), args.out)
 
 
-def _cmd_clt(args) -> int:
-    return _print_report(run_clt_check(
+def _cmd_clt(args) -> None:
+    _print_report(run_clt_check(
         SeededRng(args.seed, args.stream), args.k, args.p, args.n, args.samples),
         args.out)
 
@@ -451,7 +433,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except InfeasibleExperiment as exc:
         print(f"infeasible experiment: {exc}", file=sys.stderr)
         return 4
@@ -461,6 +443,7 @@ def main(argv=None) -> int:
     except (LdpLabError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entrypoint() -> None:  # console-script shim

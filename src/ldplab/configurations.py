@@ -10,6 +10,7 @@ reordering atoms.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -20,6 +21,16 @@ from scipy.optimize import least_squares  # noqa: F401
 from .errors import DimensionMismatch, DomainError, RecoveryFailure
 from .linalg import ColumnList, as_matrix, signed_permutation_equal
 from .projections import EmpiricalMeasure, ProjectedLaw, law_variance, sample_projected_law
+
+
+def whole_number(value, name: str, minimum: int) -> int:
+    """``value`` as an int; :class:`DomainError` unless it is a real whole
+    number (not a bool) >= ``minimum``.  2.0 is read as 2."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value % 1 == 0)
+    if isinstance(value, bool) or not whole or value < minimum:
+        raise DomainError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _canonical_sign(point: np.ndarray) -> np.ndarray:
@@ -46,15 +57,12 @@ class PointConfiguration:
 
     @classmethod
     def from_atoms(cls, dim: int, atoms) -> "PointConfiguration":
-        if dim < 1:
-            raise DimensionMismatch("dim must be >= 1")
+        dim = whole_number(dim, "dim", 1)
         merged: dict = {}
         order: list = []
         for point, mult in atoms:
             point = np.asarray(point, dtype=np.float64).reshape(dim)
-            if not (isinstance(mult, numbers.Real) and mult >= 1 and mult % 1 == 0):
-                raise DomainError(f"multiplicity must be a whole number >= 1, got {mult!r}")
-            mult = int(mult)
+            mult = whole_number(mult, "multiplicity", 1)
             if not np.all(np.isfinite(point)):
                 raise ValueError("atom coordinates must be finite")
             if np.max(np.abs(point)) > 1.0 + 1e-9:
@@ -71,7 +79,12 @@ class PointConfiguration:
         atom_list = [(merged[k][0], merged[k][1]) for k in order]
         row_mass = np.zeros(dim)
         for point, mult in atom_list:
-            row_mass += mult * point**2
+            square = point**2
+            # an int compares with a Python float exactly: a multiplicity too
+            # large for a float is refused before it meets one
+            if mult > (1.0 + 1e-9) / max(float(square.max()), 1e-300):
+                raise DomainError("per-coordinate squared mass exceeds 1")
+            row_mass += mult * square
         if np.max(row_mass, initial=0.0) > 1.0 + 1e-9:
             raise DomainError("per-coordinate squared mass exceeds 1")
         return cls(dim=dim, atoms=atom_list)
@@ -96,7 +109,7 @@ class PointConfiguration:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PointConfiguration":
         return cls.from_atoms(
-            int(doc["dim"]),
+            doc["dim"],
             [(a["point"], a["multiplicity"]) for a in doc["atoms"]],
         )
 

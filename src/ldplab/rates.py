@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configurations import PointConfiguration, config_to_matrix
+from .configurations import PointConfiguration
 from .errors import DomainError, NumericalFailure
 from .linalg import (
     BOUNDARY_TOL,
@@ -62,11 +62,11 @@ def rate_finite(a) -> float:
     return -0.5 * log_det_complement(gram(a))
 
 
-def _certified_monotone(raw_rates, slack=MONOTONE_SLACK):
+def _certified_monotone(raw_rates):
     out = []
     last = 0.0
     for r in raw_rates:
-        if r < last - slack:
+        if r < last - MONOTONE_SLACK:
             raise NumericalFailure(
                 f"partial rate decreased from {last} to {r}; truncation "
                 "monotonicity violated beyond numerical slack"
@@ -76,7 +76,7 @@ def _certified_monotone(raw_rates, slack=MONOTONE_SLACK):
     return out
 
 
-def rate_truncated(a: ColumnList, max_level: int | None = None, tol: float = MONOTONE_SLACK):
+def rate_truncated(a: ColumnList, max_level: int | None = None):
     """Rate of a finitely supported k x infinity matrix.
 
     Returns (value, report).  The supremum over column truncations is
@@ -91,7 +91,7 @@ def rate_truncated(a: ColumnList, max_level: int | None = None, tol: float = MON
     cols = a.columns[:, :levels].T
     grams = np.cumsum(cols[:, :, None] * cols[:, None, :], axis=0)
     raw = (-0.5 * log_det_complement(grams)).tolist()
-    partial = _certified_monotone(raw, slack=tol)
+    partial = _certified_monotone(raw)
 
     full_norm = operator_norm(gram(a.columns))
     boundary = BOUNDARY_LO <= full_norm <= BOUNDARY_HI
@@ -143,6 +143,8 @@ def rate_orthogonal_truncated(m, k_max: int) -> TruncationReport:
 
 
 def rate_configuration(mu: PointConfiguration) -> float:
-    """Rate of a symmetric point configuration through its column matrix."""
-    value, _ = rate_truncated(config_to_matrix(mu))
-    return value
+    """Rate -1/2 log det(I - sum_i m_i p_i p_i^T) of a configuration: the
+    finite-block rate of its atoms scaled by sqrt(m_i)."""
+    if not mu.atoms:
+        return 0.0
+    return rate_finite(np.column_stack([math.sqrt(m) * p for p, m in mu.atoms]))

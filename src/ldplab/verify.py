@@ -6,17 +6,19 @@ scalar case.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import ks_2samp, kstest
 
-from .configurations import PointConfiguration
+from .configurations import PointConfiguration, whole_number
 from .densities import log_corner_density, sigma_p_squared
 from .errors import DomainError, InfeasibleExperiment, NumericalFailure
 from .linalg import as_matrix
@@ -43,8 +45,8 @@ def worker_count(threads=None) -> int:
 
 
 def _check_n_values(n_values) -> list:
-    """``n_values`` as ints; refused unless non-empty and increasing."""
-    n_values = [int(n) for n in n_values]
+    """``n_values`` as ints; refused unless whole, non-empty and increasing."""
+    n_values = [whole_number(n, "each n in n_values", 1) for n in n_values]
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise DomainError("n_values must be non-empty and increasing")
     return n_values
@@ -56,6 +58,21 @@ def json_float(x):
     if math.isnan(x):
         raise NumericalFailure("result is NaN")
     return x if math.isfinite(x) else ("+inf" if x > 0 else "-inf")
+
+
+def json_doc(x):
+    """JSON data of a report: a dataclass or named tuple becomes a dict keyed
+    by field name, dicts, lists and tuples are walked, and every float goes
+    through :func:`json_float`; anything else passes through as it is."""
+    if dataclasses.is_dataclass(x):
+        x = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+    elif isinstance(x, tuple) and hasattr(x, "_asdict"):
+        x = x._asdict()
+    if isinstance(x, dict):
+        return {key: json_doc(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [json_doc(value) for value in x]
+    return json_float(x) if isinstance(x, float) else x
 
 
 @dataclass
@@ -82,8 +99,7 @@ class LdpExperiment:
             raise DomainError("method must be 'montecarlo' or 'quadrature'")
         if self.method == "quadrature" and (self.k != 1 or self.ell != 1):
             raise DomainError("quadrature requires k = ell = 1")
-        if self.samples_per_n < 1:
-            raise DomainError("samples_per_n must be >= 1")
+        self.samples_per_n = whole_number(self.samples_per_n, "samples_per_n", 1)
         if self.n_values[0] < self.ell + self.k:
             raise DomainError(
                 f"n_values must be >= ell + k = {self.ell + self.k}, "
@@ -97,27 +113,23 @@ class LdpExperiment:
             )
 
 
+class NEstimate(NamedTuple):
+    """log P of the event at one n, with its standard error (0 by quadrature)."""
+
+    n: int
+    log_prob: float
+    stderr: float
+
+
 @dataclass
 class SlopeReport:
     """Per-n log-probabilities with the fitted decay slope and its target."""
 
-    per_n: list = field(default_factory=list)  # (n, log_prob, stderr)
-    fitted_slope: float = 0.0
-    slope_stderr: float = 0.0
-    rate_reference: float = 0.0
-    relative_gap: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_n": [
-                {"n": n, "log_prob": json_float(lp), "stderr": se}
-                for n, lp, se in self.per_n
-            ],
-            "fitted_slope": json_float(self.fitted_slope),
-            "slope_stderr": self.slope_stderr,
-            "rate_reference": json_float(self.rate_reference),
-            "relative_gap": self.relative_gap,
-        }
+    per_n: list  # of NEstimate
+    fitted_slope: float
+    slope_stderr: float
+    rate_reference: float
+    relative_gap: float
 
 
 def _secular_point(s, cap, mu: float) -> np.ndarray:
@@ -211,9 +223,7 @@ def _log_corner_ball_prob(n: int, a: float, radius: float) -> float:
 def _slope_report(per_n, rate_ref: float) -> SlopeReport:
     """Weighted least-squares slope of -log P against n, compared with the
     reference rate."""
-    ns = np.array([float(n) for n, _, _ in per_n])
-    ys = np.array([lp for _, lp, _ in per_n])
-    ses = np.array([se for _, _, se in per_n])
+    ns, ys, ses = np.array(per_n, dtype=np.float64).T
     if ns.size < 2:
         raise DomainError("need at least two n values to fit a slope")
     weights = 1.0 / ses**2 if np.all(ses > 0) else np.ones_like(ns)
@@ -266,7 +276,7 @@ def _monte_carlo_slope(rng: SeededRng, k: int, n_values, samples: int,
                 f"zero hits out of {samples} samples at n={n}"
             )
         p = count / samples
-        per_n.append((n, math.log(p), math.sqrt((1.0 - p) / count)))
+        per_n.append(NEstimate(n, math.log(p), math.sqrt((1.0 - p) / count)))
     return _slope_report(per_n, rate_ref)
 
 
@@ -276,7 +286,7 @@ def run_ldp_corner(rng: SeededRng, exp: LdpExperiment, threads=None) -> SlopeRep
     rate_ref = min_rate_over_ball(exp.target, exp.radius)
     if exp.method == "quadrature":
         a = float(exp.target[0, 0])
-        per_n = [(n, _log_corner_ball_prob(n, a, exp.radius), 0.0)
+        per_n = [NEstimate(n, _log_corner_ball_prob(n, a, exp.radius), 0.0)
                  for n in exp.n_values]
         return _slope_report(per_n, rate_ref)
 
@@ -367,8 +377,7 @@ def run_ldp_configuration(
     n_values = _check_n_values(n_values)
     if n_values[0] < k:
         raise DomainError(f"a k x n frame needs n >= k = {k}, got n = {n_values[0]}")
-    if samples_per_n < 1:
-        raise DomainError("samples_per_n must be >= 1")
+    samples_per_n = whole_number(samples_per_n, "samples_per_n", 1)
     if not (0 < r < math.inf and 0 < rho < math.inf):
         raise DomainError(f"r and rho must be finite and > 0, got r = {r}, rho = {rho}")
     _check_atom_balls(target.atoms, r, rho)
@@ -390,6 +399,15 @@ def run_ldp_configuration(
                               threads)
 
 
+class EntryTest(NamedTuple):
+    """Two-sample KS test of one matrix entry."""
+
+    row: int
+    col: int
+    statistic: float
+    pvalue: float
+
+
 @dataclass
 class TwoSampleReport:
     """Per-entry two-sample KS comparison of two matrix samplers."""
@@ -398,24 +416,11 @@ class TwoSampleReport:
     m: int
     n: int
     dof: int
-    entries: list = field(default_factory=list)  # (i, j, statistic, pvalue)
+    entries: list = field(default_factory=list)  # of EntryTest
 
     @property
     def min_pvalue(self) -> float:
-        return min(p for _, _, _, p in self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "n": self.n,
-            "dof": self.dof,
-            "entries": [
-                {"row": i, "col": j, "statistic": s, "pvalue": p}
-                for i, j, s, p in self.entries
-            ],
-            "min_pvalue": self.min_pvalue,
-        }
+        return min(test.pvalue for test in self.entries)
 
 
 def run_dickey_check(rng: SeededRng, k: int, m: int, n: int, samples: int,
@@ -436,8 +441,16 @@ def run_dickey_check(rng: SeededRng, k: int, m: int, n: int, samples: int,
     for i in range(k):
         for j in range(m):
             stat, pval = ks_2samp(corners[:, i, j], dickey[:, i, j])
-            entries.append((i, j, float(stat), float(pval)))
+            entries.append(EntryTest(i, j, float(stat), float(pval)))
     return TwoSampleReport(k=k, m=m, n=n, dof=dof, entries=entries)
+
+
+class MarginalTest(NamedTuple):
+    """KS test of one projected marginal against the limiting Gaussian."""
+
+    index: int
+    statistic: float
+    pvalue: float
 
 
 @dataclass
@@ -449,24 +462,11 @@ class GaussianFitReport:
     p: float
     n: int
     sigma_squared: float
-    marginals: list = field(default_factory=list)  # (index, statistic, pvalue)
+    marginals: list = field(default_factory=list)  # of MarginalTest
 
     @property
     def min_pvalue(self) -> float:
-        return min(p for _, _, p in self.marginals)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "p": json_float(self.p),
-            "n": self.n,
-            "sigma_squared": self.sigma_squared,
-            "marginals": [
-                {"index": i, "statistic": s, "pvalue": p}
-                for i, s, p in self.marginals
-            ],
-            "min_pvalue": self.min_pvalue,
-        }
+        return min(test.pvalue for test in self.marginals)
 
 
 def run_clt_check(rng: SeededRng, k: int, p: float, n: int, samples: int) -> GaussianFitReport:
@@ -483,6 +483,6 @@ def run_clt_check(rng: SeededRng, k: int, p: float, n: int, samples: int) -> Gau
     marginals = []
     for i in range(k):
         stat, pval = kstest(cloud.points[:, i], "norm", args=(0.0, scale))
-        marginals.append((i, float(stat), float(pval)))
+        marginals.append(MarginalTest(i, float(stat), float(pval)))
     return GaussianFitReport(k=k, p=p, n=n, sigma_squared=sigma2,
                              marginals=marginals)

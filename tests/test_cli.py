@@ -8,7 +8,7 @@ from ldplab import __version__
 from ldplab.cli import main
 from ldplab.errors import NumericalFailure
 from ldplab.samplers import SeededRng, stiefel_batch
-from ldplab.verify import json_float
+from ldplab.verify import EntryTest, TwoSampleReport, json_float
 
 
 def run(args):
@@ -229,6 +229,54 @@ def test_verify_rejects_non_whole_multiplicity(tmp_path, capsys, multiplicity):
     assert run(["verify", "--config", str(path), "--out-prefix", str(prefix)]) == 2
     assert "whole number >= 1" in capsys.readouterr().err
     assert not (tmp_path / "conf.json").exists()
+
+
+_MC_CONFIG = {"schema_version": 1, "seed": 9, "experiment": "ldp_corner",
+              "k": 1, "ell": 1, "target": [[0.2]], "radius": 0.1,
+              "n_values": [20, 40], "samples_per_n": 5000}
+_CONF_CONFIG = {"schema_version": 1, "seed": 1006, "experiment": "ldp_configuration",
+                "k": 1, "atoms": [{"point": [0.4], "multiplicity": 1}], "r": 0.3,
+                "rho": 0.05, "n_values": [100, 110], "samples_per_n": 100000}
+
+
+@pytest.mark.parametrize("base, field, value", [
+    (_MC_CONFIG, "samples_per_n", 1e999),
+    (_MC_CONFIG, "seed", math.inf),
+    (_MC_CONFIG, "n_values", [20, math.inf]),
+    (_CONF_CONFIG, "atoms", [{"point": [0.4], "multiplicity": 10**400}]),
+    (_MC_CONFIG, "n_values", [20.5, 40]),
+    (_MC_CONFIG, "samples_per_n", 2.5),
+    (_MC_CONFIG, "k", True),
+    (_MC_CONFIG, "stream", -1),
+    (_CONF_CONFIG, "k", 1.5),
+], ids=["samples_1e999", "seed_inf", "n_inf", "multiplicity_1e400", "n_fraction",
+        "samples_fraction", "k_true", "stream_negative", "config_k_fraction"])
+def test_verify_integer_fields_are_whole_numbers(tmp_path, capsys, base, field, value):
+    # each used to exit 1 on OverflowError, or to run a truncated value
+    cfg = dict(base, **{field: value})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    prefix = tmp_path / "rep"
+    assert run(["verify", "--config", str(path), "--out-prefix", str(prefix)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("whole number" in err or "squared mass" in err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_report_with_nan_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the report writer used to print NaN, which is not JSON, and exit 0
+    def nan_check(*_args, **_kwargs):
+        return TwoSampleReport(k=1, m=1, n=10, dof=9,
+                               entries=[EntryTest(0, 0, 0.1, math.nan)])
+
+    monkeypatch.setattr("ldplab.cli.run_dickey_check", nan_check)
+    out = tmp_path / "d.json"
+    assert run(["dickey", "--k", "1", "--m", "1", "--n", "10", "--samples", "100",
+                "--seed", "6", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_project_and_compare(tmp_path, capsys):

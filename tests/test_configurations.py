@@ -12,6 +12,7 @@ from ldplab.configurations import (
     power_sums,
     psi,
     recover_from_power_sums,
+    whole_number,
 )
 from ldplab.densities import sigma_p_squared
 from ldplab.errors import DomainError, RecoveryFailure
@@ -62,6 +63,39 @@ def test_config_refuses_non_whole_multiplicity(mult):
     # int() used to truncate 1.7 to 1 and overflow on inf
     with pytest.raises(DomainError, match="whole number >= 1"):
         PointConfiguration.from_atoms(1, [((0.4,), mult)])
+
+
+@pytest.mark.parametrize("value, expected", [
+    (2, 2), (2.0, 2), (np.int64(3), 3), (np.float64(4.0), 4), (10**400, 10**400),
+])
+def test_whole_number_accepts(value, expected):
+    got = whole_number(value, "x", 1)
+    assert got == expected and type(got) is int
+
+
+@pytest.mark.parametrize("value", [True, False, 1.5, math.inf, -math.inf, math.nan,
+                                   "2", None, 0, -3])
+def test_whole_number_refuses(value):
+    with pytest.raises(DomainError, match="x must be a whole number >= 1"):
+        whole_number(value, "x", 1)
+
+
+def test_config_refuses_multiplicity_too_large_for_a_float():
+    # mult * point**2 used to raise OverflowError on a multiplicity past 1e308
+    with pytest.raises(DomainError, match="squared mass exceeds 1"):
+        PointConfiguration.from_atoms(1, [((0.4,), 10**400)])
+    # a point whose square underflows still bounds its multiplicity
+    with pytest.raises(DomainError, match="squared mass exceeds 1"):
+        PointConfiguration.from_atoms(1, [((1e-200,), 10**500)])
+
+
+def test_config_dim_is_a_whole_number():
+    assert PointConfiguration.from_atoms(2.0, [((0.4, 0.1), 1)]).dim == 2
+    for dim in (True, 1.5, 0):
+        with pytest.raises(DomainError, match="dim must be a whole number >= 1"):
+            PointConfiguration.from_atoms(dim, [])
+    with pytest.raises(DomainError, match="dim must be a whole number"):
+        PointConfiguration.from_json_dict({"dim": 1.5, "atoms": []})
 
 
 def test_config_accepts_whole_float_multiplicity():

@@ -90,7 +90,8 @@ def test_rate_orthogonal_requires_square():
 
 
 def test_rate_configuration_empty():
-    assert rate_configuration(PointConfiguration.empty(2)) == 0.0
+    value = rate_configuration(PointConfiguration.empty(2))
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_rate_configuration_scalar_pair():
@@ -216,4 +217,20 @@ def test_rate_configuration_matches_truncation():
         mu = PointConfiguration.from_atoms(k, [(p, int(gen.integers(1, 3))) for p in pts])
         direct = rate_configuration(mu)
         via_matrix, _ = rate_truncated(config_to_matrix(mu))
-        assert direct == via_matrix
+        assert direct == pytest.approx(via_matrix, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("atoms", [
+    [(0.5, 1)],
+    [(0.3, 3), (-0.2, 2)],
+    [(0.4, 5), (0.001, 10**4)],
+    [(0.0009, 10**6)],
+    [(0.0005, 10**6), (0.0001, 10**6)],
+])
+def test_rate_configuration_scalar_closed_form(atoms):
+    # k = 1: the Gram is the scalar sum m p^2, and no multiplicity is expanded
+    # into columns, so m = 10^6 costs no more than m = 1
+    mu = PointConfiguration.from_atoms(1, [((p,), m) for p, m in atoms])
+    mass = sum(m * p * p for p, m in atoms)
+    assert rate_configuration(mu) == pytest.approx(-0.5 * math.log1p(-mass),
+                                                   rel=1e-13, abs=0.0)

@@ -6,12 +6,16 @@ from scipy.integrate import quad
 
 from ldplab.configurations import PointConfiguration
 from ldplab.densities import log_corner_density
-from ldplab.errors import DomainError, InfeasibleExperiment
+from ldplab.errors import DomainError, InfeasibleExperiment, NumericalFailure
 from ldplab.rates import rate_finite
 from ldplab.samplers import SeededRng, stiefel_batch
 from ldplab.verify import (
+    EntryTest,
     LdpExperiment,
+    NEstimate,
+    TwoSampleReport,
     configuration_hit_count,
+    json_doc,
     min_rate_over_ball,
     run_clt_check,
     run_dickey_check,
@@ -151,6 +155,30 @@ def test_experiment_validation():
         with pytest.raises(DomainError, match="radius must be finite"):
             LdpExperiment(k=1, ell=1, target=[[0.1]], radius=radius,
                           n_values=[10, 20], samples_per_n=10)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_values", [20.5, 40]),
+    ("n_values", [20, math.inf]),
+    ("n_values", [True, 40]),
+    ("samples_per_n", 2.5),
+    ("samples_per_n", math.inf),
+    ("samples_per_n", 0),
+])
+def test_experiment_integer_fields_are_whole_numbers(field, value):
+    # int() used to run n = 20 for 20.5, 2 samples for 2.5, and overflow on inf
+    args = dict(k=1, ell=1, target=[[0.2]], radius=0.1, n_values=[20, 40],
+                samples_per_n=4000)
+    args[field] = value
+    with pytest.raises(DomainError, match="must be a whole number >= 1"):
+        LdpExperiment(**args)
+
+
+def test_experiment_reads_whole_floats_as_ints():
+    exp = LdpExperiment(k=1, ell=1, target=[[0.2]], radius=0.1,
+                        n_values=[20.0, 40], samples_per_n=4000.0)
+    assert exp.n_values == [20, 40] and type(exp.n_values[0]) is int
+    assert exp.samples_per_n == 4000 and type(exp.samples_per_n) is int
 
 
 def test_typical_event_has_zero_slope():
@@ -422,15 +450,33 @@ def test_slope_report_serialization():
     exp = LdpExperiment(k=1, ell=1, target=[[0.2]], radius=0.1,
                         n_values=[20, 40], samples_per_n=4000)
     rep = run_ldp_corner(SeededRng(17), exp)
-    doc = rep.to_json_dict()
+    doc = json_doc(rep)
     assert {"per_n", "fitted_slope", "rate_reference", "relative_gap"} <= set(doc)
     assert len(rep.per_n) == 2 and len(rep.per_n[0]) == 3
 
 
 def test_configuration_rejects_nonpositive_sample_count():
     # refused before the expected-hit guard, which takes log(samples / 10)
-    for samples in (0, -5):
+    for samples in (0, -5, 2.5, math.inf):
         with pytest.raises(DomainError, match="samples_per_n"):
             run_ldp_configuration(SeededRng(1), 1, PointConfiguration.empty(1),
                                   r=0.5, rho=0.05, n_values=[10, 20],
                                   samples_per_n=samples)
+
+
+def test_json_doc_walks_records_and_guards_floats():
+    rep = TwoSampleReport(k=1, m=1, n=5, dof=4,
+                          entries=[EntryTest(0, 0, 0.25, math.inf)])
+    assert json_doc(rep) == {
+        "k": 1, "m": 1, "n": 5, "dof": 4,
+        "entries": [{"row": 0, "col": 0, "statistic": 0.25, "pvalue": "+inf"}],
+    }
+    assert json_doc(NEstimate(20, -math.inf, 0.5)) == {
+        "n": 20, "log_prob": "-inf", "stderr": 0.5}
+    assert json_doc({"a": [[1.5, -math.inf], (2, "s", None, True)]}) == {
+        "a": [[1.5, "-inf"], [2, "s", None, True]]}
+    for bad in (math.nan, [1.0, [math.nan]], NEstimate(20, 0.0, math.nan),
+                TwoSampleReport(k=1, m=1, n=5, dof=4,
+                                entries=[EntryTest(0, 0, math.nan, 0.5)])):
+        with pytest.raises(NumericalFailure):
+            json_doc(bad)
