@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .configurations import PointConfiguration, whole_number
+from .configurations import PointConfiguration, read_fields, whole_number
 from .densities import (
     log_corner_density,
     log_inverted_t_density,
@@ -76,10 +76,15 @@ def _write_sidecar(path: str, payload: dict) -> None:
                 {"schema_version": 1, **payload, "build_id": _build_id()})
 
 
-def _parse_p(text: str) -> float:
-    if text in ("inf", "Inf", "INF", "infinity"):
-        return math.inf
-    return float(text)
+def _load_json(source: str, text=None):
+    """The one JSON reader: ``text``, or the file ``source`` when it is None."""
+    try:
+        if text is None:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DomainError(f"{source}: {exc}") from None
 
 
 def _cmd_sample(args) -> None:
@@ -108,13 +113,11 @@ def _cmd_sample(args) -> None:
         width = 1 if args.n is None else args.n
         draws = p_gaussian_batch(gen, args.p, (args.count, 1, width))
         shape = [1, width]
-    elif args.dist == "lpball":
+    else:  # lpball; argparse restricts --dist to these five
         if args.p is None or args.n is None:
             raise DomainError("lpball requires --p and --n")
         draws = lp_ball_batch(gen, args.p, args.n, args.scale, args.count)[:, None, :]
         shape = [1, args.n]
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown distribution {args.dist}")
 
     rows = draws.reshape(args.count, -1)
     _write_csv(args.out, rows)
@@ -138,22 +141,22 @@ def _load_matrix(args) -> np.ndarray:
     if len(sources) != 1:
         raise DomainError("provide exactly one of --matrix, --csv, --json")
     if args.matrix:
-        return as_matrix(json.loads(args.matrix))
+        return as_matrix(_load_json("--matrix", args.matrix))
     if args.json_file:
-        with open(args.json_file) as fh:
-            return as_matrix(json.load(fh))
-    rows = np.loadtxt(args.csv, delimiter=",", ndmin=2)
-    if rows.size == 0:
-        raise DomainError("CSV file holds no rows")
-    sidecar = args.csv + ".json"
-    with open(sidecar) as fh:
-        meta = json.load(fh)
-    shape = meta.get("row_shape")
-    if not shape:
-        raise DomainError(f"sidecar {sidecar} lacks row_shape")
+        return as_matrix(_load_json(args.json_file))
+    try:
+        rows = np.loadtxt(args.csv, delimiter=",", ndmin=2)
+    except ValueError as exc:  # a cell that is not a number, or ragged rows
+        raise DomainError(f"{args.csv}: {exc}") from None
     if not 0 <= args.row < rows.shape[0]:
         raise DomainError(f"row {args.row} out of range")
-    return rows[args.row].reshape(shape[0], shape[1])
+    meta = _load_json(args.csv + ".json")
+    shape = meta.get("row_shape") if isinstance(meta, dict) else None
+    dims = [whole_number(v, "row_shape", 1) for v in shape] if isinstance(shape, list) else []
+    if len(dims) != 2 or dims[0] * dims[1] != rows.shape[1]:
+        raise DomainError(f"sidecar of {args.csv}: row_shape {shape!r} does not fit a row "
+                          f"of {rows.shape[1]} values")
+    return rows[args.row].reshape(dims)
 
 
 def _cmd_rate(args) -> None:
@@ -182,7 +185,7 @@ def _cmd_density(args) -> None:
         return
     if args.at is None:
         raise DomainError(f"{args.which} requires --at with a JSON matrix")
-    matrix = as_matrix(json.loads(args.at))
+    matrix = as_matrix(_load_json("--at", args.at))
     if args.which == "corner":
         if args.n is None:
             raise DomainError("corner requires --n")
@@ -192,21 +195,23 @@ def _cmd_density(args) -> None:
         if args.dof is None:
             raise DomainError("inverted-t requires --dof")
         value = log_inverted_t_density(matrix, args.dof)
-    elif args.which == "wishart":
+    else:  # wishart; argparse restricts --which
         if args.n is None:
             raise DomainError("wishart requires --n")
         value = log_wishart_density(matrix, matrix.shape[0], args.n)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown density {args.which}")
     print(_json({"log_density": value}))
 
 
 def _product_law_from_doc(doc):
     if doc == "rademacher":
         return RademacherLaw()
-    if isinstance(doc, dict) and "p" in doc:
-        return PGaussianParams(_parse_p(str(doc["p"])))
-    raise DomainError("product law must be 'rademacher' or {'p': value}")
+    # after str(), float() reads a number or text such as "inf" and refuses the rest
+    p = str(read_fields(doc, {"p": object}, "product law")["p"])
+    try:
+        value = float(p)
+    except ValueError:
+        raise DomainError(f"product law p must be a number or 'inf', got {p}") from None
+    return PGaussianParams(value)
 
 
 def _cmd_project(args) -> None:
@@ -224,16 +229,14 @@ def _cmd_project(args) -> None:
     else:  # law
         if not args.law_json:
             raise DomainError("law mode requires --law-json")
-        with open(args.law_json) as fh:
-            doc = json.load(fh)
-        dim = int(doc["dim"])
+        doc = read_fields(_load_json(args.law_json), _LAW_FIELDS, "law file", {"columns": []})
         law = ProjectedLaw(
-            a=ColumnList.from_columns(dim, doc.get("columns", [])),
-            noise_variance=float(doc["noise_variance"]),
+            a=ColumnList.from_columns(doc["dim"], doc["columns"]),
+            noise_variance=doc["noise_variance"],
             product_law=_product_law_from_doc(doc["product"]),
         )
         cloud = sample_projected_law(rng, law, args.count)
-        meta = {"law_json": args.law_json, "k": dim}
+        meta = {"law_json": args.law_json, "k": doc["dim"]}
     _write_csv(args.out, cloud.points)
     _write_sidecar(args.out, {
         "command": "project",
@@ -248,7 +251,8 @@ def _cmd_project(args) -> None:
 
 
 def _cmd_compare(args) -> None:
-    n_list = [int(v) for v in args.n_list.split(",") if v.strip()]
+    n_list = [whole_number(int(v) if v.strip().isdecimal() else v, "--n-list", 1)
+              for v in args.n_list.split(",") if v.strip()]
     if not n_list:
         raise DomainError("n-list must hold at least one value")
     rng = SeededRng(args.seed, args.stream)
@@ -265,47 +269,40 @@ def _cmd_compare(args) -> None:
         })
 
 
-_CORNER_KEYS = {"schema_version", "seed", "stream", "experiment", "k", "ell",
-                "target", "radius", "n_values", "samples_per_n", "method",
-                "output_path"}
-_CONFIG_KEYS = {"schema_version", "seed", "stream", "experiment", "k",
-                "atoms", "r", "rho", "n_values", "samples_per_n",
-                "output_path"}
+_LAW_FIELDS = {"dim": 1, "columns": list, "noise_variance": float, "product": object}
+_VERIFY_FIELDS = {"schema_version": 1, "seed": 0, "stream": 0, "experiment": str,
+                  "k": 1, "n_values": list, "samples_per_n": 1, "output_path": str}
+_EXPERIMENT_FIELDS = {
+    "ldp_corner": {"ell": 1, "target": list, "radius": float, "method": str},
+    "ldp_configuration": {"atoms": list, "r": float, "rho": float},
+}
 
 
 def _cmd_verify(args) -> None:
-    with open(args.config) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != 1:
+    threads = None if args.threads is None else whole_number(args.threads, "--threads", 1)
+    doc = _load_json(args.config)
+    experiment = str(doc.get("experiment")) if isinstance(doc, dict) else None
+    cfg = read_fields(doc, {**_VERIFY_FIELDS, **_EXPERIMENT_FIELDS.get(experiment, {})},
+                      "config", {"stream": 0, "method": "montecarlo", "output_path": ""})
+    if cfg["schema_version"] != 1:
         raise DomainError("config schema_version must be 1")
-    kind = doc.get("experiment")
-    allowed = {"ldp_corner": _CORNER_KEYS, "ldp_configuration": _CONFIG_KEYS}.get(kind)
-    if allowed is None:
-        raise DomainError(f"unknown experiment {kind!r}")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise DomainError(f"unknown config fields: {sorted(unknown)}")
-    rng = SeededRng(whole_number(doc["seed"], "seed", 0),
-                    whole_number(doc.get("stream", 0), "stream", 0))
-    k = whole_number(doc["k"], "k", 1)
-    if kind == "ldp_corner":
+    if experiment not in _EXPERIMENT_FIELDS:
+        raise DomainError(f"unknown experiment {cfg['experiment']!r}")
+    rng = SeededRng(cfg["seed"], cfg["stream"])
+    if experiment == "ldp_corner":
         exp = LdpExperiment(
-            k=k,
-            ell=whole_number(doc["ell"], "ell", 1),
-            target=doc["target"],
-            radius=float(doc["radius"]),
-            n_values=doc["n_values"],
-            samples_per_n=doc["samples_per_n"],
-            method=doc.get("method", "montecarlo"),
+            k=cfg["k"], ell=cfg["ell"], target=cfg["target"], radius=cfg["radius"],
+            n_values=cfg["n_values"], samples_per_n=cfg["samples_per_n"],
+            method=cfg["method"],
         )
-        report = run_ldp_corner(rng, exp, threads=args.threads)
+        report = run_ldp_corner(rng, exp, threads=threads)
     else:
-        target = PointConfiguration.from_json_dict({"dim": k, "atoms": doc["atoms"]})
+        target = PointConfiguration.from_json_dict({"dim": cfg["k"], "atoms": cfg["atoms"]})
         report = run_ldp_configuration(
-            rng, k, target, float(doc["r"]), float(doc["rho"]),
-            doc["n_values"], doc["samples_per_n"], threads=args.threads,
+            rng, cfg["k"], target, cfg["r"], cfg["rho"], cfg["n_values"],
+            cfg["samples_per_n"], threads=threads,
         )
-    prefix = args.out_prefix or doc.get("output_path") or "slope_report"
+    prefix = args.out_prefix or cfg["output_path"] or "slope_report"
     _write_json(prefix + ".json",
                 {"config": doc, "report": report, "build_id": _build_id()})
     _write_csv(prefix + ".csv", report.per_n)
@@ -351,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "pgaussian", "lpball"])
     p_sample.add_argument("--k", type=int)
     p_sample.add_argument("--n", type=int)
-    p_sample.add_argument("--p", type=_parse_p)
+    p_sample.add_argument("--p", type=float)
     p_sample.add_argument("--scale", type=float)
     p_sample.add_argument("--count", type=int, required=True)
     p_sample.add_argument("--out", default="samples.csv")
@@ -370,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "pgaussian", "pth-power", "sigma2"])
     p_density.add_argument("--at", help="JSON matrix argument")
     p_density.add_argument("--x", type=float)
-    p_density.add_argument("--p", type=_parse_p)
+    p_density.add_argument("--p", type=float)
     p_density.add_argument("--n", type=int)
     p_density.add_argument("--dof", type=int)
     p_density.set_defaults(func=_cmd_density)
@@ -381,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            choices=["lpball", "product", "law"])
     p_project.add_argument("--k", type=int)
     p_project.add_argument("--n", type=int)
-    p_project.add_argument("--p", type=_parse_p)
+    p_project.add_argument("--p", type=float)
     p_project.add_argument("--law-json")
     p_project.add_argument("--count", type=int, required=True)
     p_project.add_argument("--out", default="cloud.csv")
@@ -391,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare", parents=[seeded],
         help="LP distance between ball and product projections")
     p_compare.add_argument("--k", type=int, required=True)
-    p_compare.add_argument("--p", type=_parse_p, required=True)
+    p_compare.add_argument("--p", type=float, required=True)
     p_compare.add_argument("--n-list", required=True)
     p_compare.add_argument("--count", type=int, required=True)
     p_compare.add_argument("--grid", type=int, default=200)
@@ -417,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_clt = sub.add_parser("clt", parents=[seeded],
                            help="KS check of projected marginals vs Gaussian")
     p_clt.add_argument("--k", type=int, required=True)
-    p_clt.add_argument("--p", type=_parse_p, required=True)
+    p_clt.add_argument("--p", type=float, required=True)
     p_clt.add_argument("--n", type=int, required=True)
     p_clt.add_argument("--samples", type=int, required=True)
     p_clt.add_argument("--out")
@@ -440,7 +437,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (LdpLabError, ValueError, KeyError, OSError) as exc:
+    except (LdpLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import least_squares  # noqa: F401
 
 from .errors import DimensionMismatch, DomainError, RecoveryFailure
-from .linalg import ColumnList, as_matrix, signed_permutation_equal
+from .linalg import ColumnList, as_matrix, finite_array, signed_permutation_equal
 from .projections import EmpiricalMeasure, ProjectedLaw, law_variance, sample_projected_law
 
 
@@ -33,13 +33,34 @@ def whole_number(value, name: str, minimum: int) -> int:
     return int(value)
 
 
-def _canonical_sign(point: np.ndarray) -> np.ndarray:
-    for v in point:
-        if v > 0.0:
-            return point
-        if v < 0.0:
-            return -point
-    raise ValueError("atom at the origin")
+def finite_real(value, name: str) -> float:
+    """``value`` as a float; :class:`DomainError` unless a finite real (not a bool)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and abs(value) <= float(np.finfo(np.float64).max)):
+        raise DomainError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def read_fields(doc, kinds: dict, what: str, defaults=None) -> dict:
+    """The fields of the JSON object ``doc`` by kind: an int m reads a whole
+    number >= m, ``float`` a finite real, a type a value of it (``defaults``
+    fills absent fields); :class:`DomainError` names a bad or unknown field."""
+    if not isinstance(doc, dict):
+        raise DomainError(f"{what} must be a JSON object, got {doc!r:.80}")
+    if set(doc) - set(kinds):
+        raise DomainError(f"unknown {what} fields: {sorted(set(doc) - set(kinds))}")
+    fields = {**(defaults or {}), **doc}
+    for name, kind in kinds.items():
+        if name not in fields:
+            raise DomainError(f"{what} lacks the field {name!r}")
+        value = fields[name]
+        if kind is float:
+            fields[name] = finite_real(value, name)
+        elif type(kind) is int:
+            fields[name] = whole_number(value, name, kind)
+        elif not isinstance(value, kind):
+            raise DomainError(f"{name} must be of type {kind.__name__}, got {value!r:.80}")
+    return fields
 
 
 @dataclass
@@ -61,15 +82,15 @@ class PointConfiguration:
         merged: dict = {}
         order: list = []
         for point, mult in atoms:
-            point = np.asarray(point, dtype=np.float64).reshape(dim)
+            point = finite_array(point, "atom coordinates").reshape(-1)
+            if point.size != dim:
+                raise DimensionMismatch(f"atom {point.tolist()} does not lie in R^{dim}")
             mult = whole_number(mult, "multiplicity", 1)
-            if not np.all(np.isfinite(point)):
-                raise ValueError("atom coordinates must be finite")
             if np.max(np.abs(point)) > 1.0 + 1e-9:
                 raise DomainError("atoms must lie in [-1, 1]^k")
             if np.all(point == 0.0):
                 raise DomainError("atoms must be nonzero")
-            point = _canonical_sign(point)
+            point = point if point[np.flatnonzero(point)[0]] > 0 else -point
             key = point.tobytes()
             if key in merged:
                 merged[key][1] += mult
@@ -108,10 +129,10 @@ class PointConfiguration:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PointConfiguration":
-        return cls.from_atoms(
-            doc["dim"],
-            [(a["point"], a["multiplicity"]) for a in doc["atoms"]],
-        )
+        doc = read_fields(doc, {"dim": 1, "atoms": list}, "configuration")
+        atoms = [read_fields(a, {"point": list, "multiplicity": 1}, "atom")
+                 for a in doc["atoms"]]
+        return cls.from_atoms(doc["dim"], [(a["point"], a["multiplicity"]) for a in atoms])
 
 
 def config_from_stiefel(v, drop_tol: float = 0.0) -> PointConfiguration:
@@ -198,7 +219,7 @@ def recover_from_power_sums(sums, count_bound: int, tol: float) -> list:
     in total, and whose residual (after two Gauss-Newton steps on the
     entries) is within ``REL_FLOOR`` plus the tail allowance is accepted.
     """
-    s = np.asarray(sums, dtype=np.float64)
+    s = finite_array(sums, "power sums")
     if s.ndim != 1 or s.size < 4:
         raise DomainError("need a 1-d list of sums for k = 3..K")
     big_k = s.size + 2
@@ -208,8 +229,6 @@ def recover_from_power_sums(sums, count_bound: int, tol: float) -> list:
         )
     if np.any(s < 0):
         raise DomainError("power sums of a non-negative sequence cannot be negative")
-    if np.any(~np.isfinite(s)):
-        raise DomainError("power sums must be finite")
     ks = np.arange(3, big_k + 1, dtype=np.float64)
     if np.all(s <= 64 * np.finfo(np.float64).eps):
         return []

@@ -13,8 +13,8 @@ class DimensionMismatch(LdpLabError):
     """Operands have incompatible dimensions."""
 
 
-class DomainError(LdpLabError):
-    """An argument lies outside the mathematical domain of the operation."""
+class DomainError(LdpLabError, ValueError):
+    """An argument is malformed or lies outside the operation's domain."""
 
 
 class RecoveryFailure(LdpLabError):

@@ -26,22 +26,27 @@ NEG_EIG_TOL = 1e-10
 BOUNDARY_TOL = 1e-12
 
 
-def _as_float(a, stacked: bool) -> np.ndarray:
-    m = np.asarray(a, dtype=np.float64)
+def finite_array(a, what: str) -> np.ndarray:
+    """``a`` as a float64 array (not copied if it is one) of finite reals, else DomainError."""
+    try:
+        m = np.asarray(a)
+    except ValueError as exc:  # ragged nesting
+        raise DomainError(f"{what} must form a rectangular array: {exc}") from None
+    if m.dtype.kind not in "iuf" or not np.isfinite(m).all():
+        raise DomainError(f"{what} must be finite real numbers, got {a!r:.80}")
+    return m.astype(np.float64, copy=False)
+
+
+def as_matrix(a, what: str = "matrix entries", stacked: bool = False) -> np.ndarray:
+    """Coerce to a finite 2-d float64 array (or a stack when ``stacked``)."""
+    m = finite_array(a, what)
     if m.ndim != 2 and not (stacked and m.ndim > 2):
         raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
     return m
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d float64 array."""
-    return _as_float(a, stacked=False)
-
-
 def _as_square(s, stacked: bool = False) -> np.ndarray:
-    m = _as_float(s, stacked)
+    m = as_matrix(s, stacked=stacked)
     if m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch("matrix is not square")
     if m.shape[-1] == 0:
@@ -144,21 +149,17 @@ class ColumnList:
     def from_columns(cls, dim: int, columns) -> "ColumnList":
         if dim < 1:
             raise DimensionMismatch("dim must be >= 1")
-        cols = np.asarray(columns, dtype=np.float64)
-        if cols.size == 0:
-            cols = np.zeros((dim, 0))
-        if cols.ndim == 1:
+        cols = finite_array(columns, "column entries")
+        if cols.ndim == 1 and cols.size % dim == 0:
             cols = cols.reshape(dim, -1)
-        if cols.shape[0] != dim:
+        if cols.ndim != 2 or cols.shape[0] != dim:
             raise DimensionMismatch(
                 f"columns live in R^{cols.shape[0]}, expected R^{dim}"
             )
-        if not np.all(np.isfinite(cols)):
-            raise ValueError("column entries must be finite")
         norms = np.linalg.norm(cols, axis=0)
         cols = cols[:, norms > 0.0]
         if cols.size and np.max(np.linalg.norm(cols, axis=0)) > np.sqrt(dim) + 1e-9:
-            raise ValueError("column norm exceeds sqrt(dim)")
+            raise DomainError("column norm exceeds sqrt(dim)")
         return cls(dim=dim, columns=cols)
 
     @classmethod

@@ -16,7 +16,7 @@ from scipy.interpolate import CubicSpline
 
 from .densities import sigma_p_squared
 from .errors import DimensionMismatch, DomainError, NumericalFailure, UnsupportedLaw
-from .linalg import ColumnList, as_matrix, gram, psd_sqrt
+from .linalg import ColumnList, as_matrix, finite_array, gram, psd_sqrt
 from .samplers import (
     PGaussianParams,
     SeededRng,
@@ -35,13 +35,11 @@ class EmpiricalMeasure:
 
     @classmethod
     def from_points(cls, points) -> "EmpiricalMeasure":
-        pts = np.asarray(points, dtype=np.float64)
+        pts = finite_array(points, "sample coordinates")
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.shape[0] < 1:
             raise DomainError("need at least one sample point")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("sample coordinates must be finite")
         return cls(dim=pts.shape[1], points=pts)
 
     @property

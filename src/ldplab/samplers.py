@@ -32,6 +32,10 @@ class SeededRng:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0 or self.stream_id < 0:
+            raise DomainError(f"negative seed or stream: {self.seed}, {self.stream_id}")
+
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))

@@ -89,7 +89,7 @@ class LdpExperiment:
     method: str = "montecarlo"  # or "quadrature"
 
     def __post_init__(self):
-        self.target = as_matrix(self.target)
+        self.target = as_matrix(self.target, "target entries")
         if self.target.shape != (self.k, self.ell):
             raise DomainError("target shape must be (k, ell)")
         if not 0 < self.radius < math.inf:

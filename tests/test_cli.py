@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ldplab import __version__
-from ldplab.cli import main
+from ldplab.cli import entrypoint, main
 from ldplab.errors import NumericalFailure
 from ldplab.samplers import SeededRng, stiefel_batch
 from ldplab.verify import EntryTest, TwoSampleReport, json_float
@@ -357,9 +357,11 @@ def test_dickey_and_clt_commands(capsys):
     ["sample", "--dist", "stiefel", "--k", "1", "--n", "2", "--count", "1",
      "--scale", "inf"],
     ["sample", "--dist", "pgaussian", "--p", "2", "--count", "1", "--scale", "nan"],
+    # numpy's SeedSequence refused it with a plain ValueError
+    ["sample", "--dist", "stiefel", "--k", "1", "--n", "2", "--count", "1", "--stream", "-1"],
 ], ids=["lpball_n0", "lpball_p0.5", "lpball_p0", "pgaussian_n0",
         "dickey_samples0", "lpball_scale_inf", "stiefel_scale_inf",
-        "pgaussian_scale_nan"])
+        "pgaussian_scale_nan", "stream_negative"])
 def test_out_of_domain_exits_2(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
     assert run(args + ["--seed", "1", "--out", str(out)]) == 2
@@ -403,3 +405,133 @@ def test_density_wishart_rejects_non_symmetric_matrix(capsys):
     assert run(["density", "--which", "wishart", "--n", "3",
                 "--at", "[[1, 0.5], [0.5, 1]]"]) == 0
     assert math.isfinite(strict_json(capsys.readouterr().out)["log_density"])
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+_LAW = {"dim": 2, "columns": [[0.5, 0.0], [0.0, 0.4]], "noise_variance": 0.333333,
+        "product": {"p": "inf"}}
+_EMPTY_CONF = dict(_CONF_CONFIG, atoms=[], r=0.5, n_values=[30, 60], samples_per_n=2000)
+_CSV = "0.5,0.1,0.2,0.3\n"
+
+
+def _verify(doc, *extra):
+    return ["verify", "--config", "cfg.json", "--out-prefix", "rep", *extra], {"cfg.json": doc}
+
+
+def _law(doc):
+    return (["project", "--mode", "law", "--law-json", "law.json", "--count", "5",
+             "--seed", "4", "--out", "cloud.csv"], {"law.json": doc})
+
+
+def _atom(**fields):
+    return dict(_CONF_CONFIG, atoms=[fields])
+
+
+def _run_in(tmp_path, monkeypatch, argv, files):
+    """Write ``files`` into ``tmp_path`` and run ``argv`` there."""
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return run(argv)
+
+
+_MALFORMED = {
+    # these exited 1 with a traceback
+    "n_values_number": (_verify(dict(_MC_CONFIG, n_values=5)), "n_values"),
+    "radius_list": (_verify(dict(_MC_CONFIG, radius=[0.1])), "radius"),
+    "radius_null": (_verify(dict(_MC_CONFIG, radius=None)), "radius"),
+    "r_null": (_verify(dict(_CONF_CONFIG, r=None)), "r must"),
+    "atoms_number": (_verify(dict(_CONF_CONFIG, atoms=5)), "atoms"),
+    "atom_pair": (_verify(dict(_CONF_CONFIG, atoms=[[0.4, 1]])), "atom"),
+    "config_not_object": (_verify([1, 2]), "config"),
+    "law_noise_variance_list": (_law(dict(_LAW, noise_variance=[1.0])), "noise_variance"),
+    "law_not_object": (_law([1]), "law file"),
+    "matrix_object": ((["rate", "--matrix", '{"a": 1}'], {}), "matrix"),
+    "row_shape_string": ((["rate", "--csv", "v.csv"],
+                          {"v.csv": _CSV, "v.csv.json": {"row_shape": "2x2"}}), "row_shape"),
+    # these were accepted, and ran on a value that was not written
+    "schema_version_true": (_verify(dict(_MC_CONFIG, schema_version=True)),
+                            "schema_version"),
+    "radius_string": (_verify(dict(_MC_CONFIG, radius="0.1")), "radius"),
+    "rho_string": (_verify(dict(_EMPTY_CONF, rho="0.05")), "rho"),
+    "target_string": (_verify(dict(_MC_CONFIG, target=[["0.2"]])), "target"),
+    "atom_point_string": (_verify(_atom(point="0.4", multiplicity=1)), "point"),
+    "atom_weight": (_verify(_atom(point=[0.4], multiplicity=1, weight=1)), "weight"),
+    "law_dim_fraction": (_law(dict(_LAW, dim=2.5)), "dim"),
+    "law_noise_variance_string": (_law(dict(_LAW, noise_variance="1.0")),
+                                  "noise_variance"),
+    "law_unknown_field": (_law(dict(_LAW, colour="red")), "colour"),
+    "threads_zero": (_verify(_MC_CONFIG, "--threads", "0"), "--threads"),
+    "threads_negative": (_verify(_MC_CONFIG, "--threads", "-3"), "--threads"),
+    # these printed only the bare key
+    "missing_seed": (_verify(_without(_MC_CONFIG, "seed")), "'seed'"),
+    "missing_multiplicity": (_verify(_atom(point=[0.4])), "'multiplicity'"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_input_exits_2_naming_the_field(tmp_path, monkeypatch, capsys, case):
+    (argv, files), field = case
+    assert _run_in(tmp_path, monkeypatch, argv, files) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and field in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+_STILL_REFUSED = {
+    "matrix_ragged": (["rate", "--matrix", "[[0.5],[0.1,0.2]]"], {}),
+    "csv_cell_not_a_number": (["rate", "--csv", "v.csv"],
+                              {"v.csv": "0.5,x,0.2,0.3\n", "v.csv.json": {"row_shape": [2, 2]}}),
+    "row_shape_misfit": (["rate", "--csv", "v.csv"],
+                         {"v.csv": _CSV, "v.csv.json": {"row_shape": [3, 2]}}),
+    "n_list_word": (["compare", "--k", "1", "--p", "1", "--n-list", "20,x",
+                     "--count", "1000", "--seed", "5"], {}),
+    "at_string": (["density", "--which", "corner", "--n", "4", "--at", '[[0.1,"x"]]'], {}),
+    "law_p_word": _law(dict(_LAW, product={"p": "abc"})),
+    "config_not_utf8": (["verify", "--config", "cfg.json"], {"cfg.json": b"\xff\xfe{"}),
+    "matrix_nan": (["rate", "--matrix", "[[NaN]]"], {}),
+    "column_infinite": _law(dict(_LAW, columns=[[1e999, 0.0], [0.0, 0.4]])),
+    "atom_infinite": _verify(_atom(point=[1e999], multiplicity=1)),
+    "atom_wrong_dimension": _verify(_atom(point=[0.4, 0.1], multiplicity=1)),
+    "column_norm": (["rate", "--matrix", "[[2.0]]"], {}),
+}
+
+
+@pytest.mark.parametrize("case", _STILL_REFUSED.values(), ids=_STILL_REFUSED.keys())
+def test_malformed_input_that_numpy_refused_still_exits_2(tmp_path, monkeypatch, capsys,
+                                                         case):
+    # each of these used to reach main() as a stdlib ValueError, which main()
+    # no longer maps; the input boundary now raises DomainError instead
+    argv, files = case
+    assert _run_in(tmp_path, monkeypatch, argv, files) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def test_untyped_error_is_a_bug_not_a_usage_error(monkeypatch, capsys):
+    # main() maps LdpLabError and OSError only: a plain ValueError (say, a
+    # numpy shape bug) propagates with its traceback, so entrypoint exits 1
+    def broken(_columns):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("ldplab.cli.rate_truncated", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["rate", "--matrix", "[[0.5]]"])
+    monkeypatch.setattr("sys.argv", ["ldplab", "rate", "--matrix", "[[0.5]]"])
+    with pytest.raises(ValueError, match="broadcast"):
+        entrypoint()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("text", ["inf", "Inf", "INF", "infinity", "Infinity"])
+def test_p_reads_every_spelling_of_infinity(capsys, text):
+    assert run(["density", "--which", "sigma2", "--p", text]) == 0
+    assert strict_json(capsys.readouterr().out)["value"] == pytest.approx(1 / 3)

@@ -8,14 +8,16 @@ from ldplab.configurations import (
     PointConfiguration,
     config_from_stiefel,
     config_to_matrix,
+    finite_real,
     identify_equivalent,
     power_sums,
     psi,
+    read_fields,
     recover_from_power_sums,
     whole_number,
 )
 from ldplab.densities import sigma_p_squared
-from ldplab.errors import DomainError, RecoveryFailure
+from ldplab.errors import DimensionMismatch, DomainError, RecoveryFailure
 from ldplab.linalg import ColumnList, gram, operator_norm, signed_permutation_equal
 from ldplab.projections import empirical_cf, project_product
 from ldplab.samplers import PGaussianParams, SeededRng, haar_stiefel
@@ -371,3 +373,56 @@ def test_identify_refuses_bad_tol(tol):
     p = ColumnList.from_columns(1, [[0.5]])
     with pytest.raises(DomainError, match="tol must be >= 0"):
         identify_equivalent(p, p, 12, tol)
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None, [0.5], math.nan, math.inf, 10**400],
+                         ids=["bool", "string", "null", "list", "nan", "inf", "huge_int"])
+def test_finite_real_refuses(value):
+    with pytest.raises(DomainError, match="x must be a finite real number"):
+        finite_real(value, "x")
+
+
+def test_finite_real_accepts():
+    for value, expected in ((0.5, 0.5), (2, 2.0), (np.float64(0.25), 0.25), (-1e300, -1e300)):
+        got = finite_real(value, "x")
+        assert got == expected and type(got) is float
+
+
+_KINDS = {"n": 1, "x": float, "xs": list, "name": str, "any": object}
+
+
+def test_read_fields_reads_each_kind_and_fills_defaults():
+    doc = {"n": 2.0, "x": 3, "xs": [1], "any": {"p": "inf"}}
+    got = read_fields(doc, _KINDS, "doc", {"name": "default"})
+    assert got == {"n": 2, "x": 3.0, "xs": [1], "name": "default", "any": {"p": "inf"}}
+    assert type(got["n"]) is int and type(got["x"]) is float
+    assert doc == {"n": 2.0, "x": 3, "xs": [1], "any": {"p": "inf"}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1], "doc must be a JSON object"),
+    ("text", "doc must be a JSON object"),
+    ({"n": 1, "x": 1.0, "xs": [], "name": "a", "any": 0, "extra": 1},
+     r"unknown doc fields: \['extra'\]"),
+    ({"x": 1.0, "xs": [], "name": "a", "any": 0}, "doc lacks the field 'n'"),
+    ({"n": 0, "x": 1.0, "xs": [], "name": "a", "any": 0}, "n must be a whole number >= 1"),
+    ({"n": 1, "x": "1.0", "xs": [], "name": "a", "any": 0}, "x must be a finite real"),
+    ({"n": 1, "x": 1.0, "xs": 5, "name": "a", "any": 0}, "xs must be of type list"),
+    ({"n": 1, "x": 1.0, "xs": [], "name": 5, "any": 0}, "name must be of type str"),
+])
+def test_read_fields_refuses(doc, message):
+    with pytest.raises(DomainError, match=message):
+        read_fields(doc, _KINDS, "doc")
+
+
+def test_config_json_names_malformed_atoms():
+    with pytest.raises(DomainError, match="unknown atom fields"):
+        PointConfiguration.from_json_dict(
+            {"dim": 1, "atoms": [{"point": [0.4], "multiplicity": 1, "weight": 2}]})
+    with pytest.raises(DomainError, match="configuration lacks the field 'atoms'"):
+        PointConfiguration.from_json_dict({"dim": 1})
+    with pytest.raises(DomainError, match="atom coordinates must be finite real numbers"):
+        PointConfiguration.from_atoms(1, [(["0.4"], 1)])
+    # a point of the wrong length used to raise numpy's reshape ValueError
+    with pytest.raises(DimensionMismatch, match="does not lie in R\\^1"):
+        PointConfiguration.from_atoms(1, [([0.4, 0.1], 1)])

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import ldplab
+from ldplab import errors
 
 PACKAGE = Path(ldplab.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -91,3 +92,32 @@ def test_one_json_rule():
     floats = {(m, owner) for m, owner, name in refs
               if name.split(".")[-1] == "json_float"}
     assert floats == {("verify", "json_doc")}
+
+
+def test_json_is_read_in_one_place():
+    # every config, law file, sidecar and inline matrix is parsed by the one
+    # reader, which turns malformed JSON and non-UTF-8 bytes into DomainError
+    refs = [(path.stem, owner, name) for path in MODULES
+            for owner, name in _references(path)]
+    readers = {(m, owner) for m, owner, name in refs
+               if name in ("json.load", "json.loads")}
+    assert readers == {("cli", "_load_json")}
+
+
+TYPED_ERRORS = {name for name, obj in vars(errors).items()
+                if isinstance(obj, type) and issubclass(obj, errors.LdpLabError)}
+
+
+def _untyped_raises(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Raise) or node.exc is None:  # a bare re-raise
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if not (isinstance(exc, ast.Name) and exc.id in TYPED_ERRORS):
+            yield f"{path.name}:{node.lineno} raises {ast.unparse(node.exc)}"
+
+
+def test_every_raise_is_typed():
+    # main() maps LdpLabError and OSError to exit codes; anything else
+    # propagates as a bug, so the package itself raises only its own types
+    assert [hit for path in MODULES for hit in _untyped_raises(path)] == []

@@ -7,6 +7,8 @@ import pytest
 from ldplab.errors import DimensionMismatch, DomainError, NumericalFailure
 from ldplab.linalg import (
     ColumnList,
+    as_matrix,
+    finite_array,
     gram,
     log_det_complement,
     operator_norm,
@@ -288,3 +290,30 @@ def test_midpoint_convexity_of_neg_log_det():
         vb = -log_det_complement(gram(b))
         vm = -log_det_complement(gram(0.5 * (a + b)))
         assert vm <= 0.5 * (va + vb) + 1e-12
+
+
+@pytest.mark.parametrize("value", [
+    [[0.5], [0.1, 0.2]], [["0.2"]], [[0.1, "x"]], [[True]], [[None]], {"a": 1},
+    [[math.nan]], [[math.inf]], [[10**400]],
+], ids=["ragged", "numeric_string", "string", "bool", "null", "object", "nan", "inf",
+        "huge_int"])
+def test_finite_array_refuses(value):
+    with pytest.raises(DomainError, match="^cells must"):
+        finite_array(value, "cells")
+
+
+def test_finite_array_does_not_copy_float64_input():
+    a = np.arange(6.0).reshape(2, 3)
+    assert finite_array(a, "cells") is a
+    assert as_matrix(a) is a
+    ints = finite_array([[1, 2]], "cells")
+    assert ints.dtype == np.float64 and ints.tolist() == [[1.0, 2.0]]
+
+
+def test_column_list_refusals_are_typed():
+    # these raised numpy's or the package's own plain ValueError
+    with pytest.raises(DomainError, match="column norm exceeds"):
+        ColumnList.from_columns(1, [[2.0]])
+    with pytest.raises(DimensionMismatch, match="expected R\\^2"):
+        ColumnList.from_columns(2, [0.1, 0.2, 0.3])
+    assert ColumnList.from_columns(2, []).columns.shape == (2, 0)
