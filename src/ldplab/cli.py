@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .configurations import PointConfiguration, read_fields, whole_number
+from .configurations import PointConfiguration, read_fields
 from .densities import (
     log_corner_density,
     log_inverted_t_density,
@@ -30,7 +30,7 @@ from .densities import (
     sigma_p_squared,
 )
 from .errors import DomainError, InfeasibleExperiment, LdpLabError, NumericalFailure
-from .linalg import ColumnList, as_matrix
+from .linalg import ColumnList, as_matrix, whole_number
 from .projections import (
     ProjectedLaw,
     RademacherLaw,
@@ -253,8 +253,6 @@ def _cmd_project(args) -> None:
 def _cmd_compare(args) -> None:
     n_list = [whole_number(int(v) if v.strip().isdecimal() else v, "--n-list", 1)
               for v in args.n_list.split(",") if v.strip()]
-    if not n_list:
-        raise DomainError("n-list must hold at least one value")
     rng = SeededRng(args.seed, args.stream)
     pairs = compare_ball_vs_product(rng, args.k, args.p, n_list, args.count,
                                     grid=args.grid)

@@ -19,26 +19,20 @@ import numpy as np
 from scipy.optimize import least_squares  # noqa: F401
 
 from .errors import DimensionMismatch, DomainError, RecoveryFailure
-from .linalg import ColumnList, as_matrix, finite_array, signed_permutation_equal
+from .linalg import (ColumnList, as_matrix, finite_array, signed_permutation_equal,
+                     whole_number)
 from .projections import EmpiricalMeasure, ProjectedLaw, law_variance, sample_projected_law
-
-
-def whole_number(value, name: str, minimum: int) -> int:
-    """``value`` as an int; :class:`DomainError` unless it is a real whole
-    number (not a bool) >= ``minimum``.  2.0 is read as 2."""
-    whole = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and math.isfinite(value) and value % 1 == 0)
-    if isinstance(value, bool) or not whole or value < minimum:
-        raise DomainError(f"{name} must be a whole number >= {minimum}, got {value!r}")
-    return int(value)
 
 
 def finite_real(value, name: str) -> float:
     """``value`` as a float; :class:`DomainError` unless a finite real (not a bool)."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                       and abs(value) <= float(np.finfo(np.float64).max)):
-        raise DomainError(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(float(value)):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise DomainError(f"{name} must be a finite real number, got {value!r}")
 
 
 def read_fields(doc, kinds: dict, what: str, defaults=None) -> dict:
@@ -186,10 +180,8 @@ def psi(mu, law, sigma, rng, count) -> EmpiricalMeasure:
 
 def power_sums(alpha, k_min: int, k_max: int) -> np.ndarray:
     """(sum_i alpha_i^k) for k = k_min .. k_max (inclusive)."""
-    if k_min < 3:
-        raise DomainError("k_min must be >= 3")
-    if k_max < k_min:
-        raise DomainError("k_max must be >= k_min")
+    k_min = whole_number(k_min, "k_min", 3)
+    k_max = whole_number(k_max, "k_max", k_min)
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.size and np.min(alpha) < 0:
         raise DomainError("entries must be non-negative")
@@ -219,6 +211,7 @@ def recover_from_power_sums(sums, count_bound: int, tol: float) -> list:
     in total, and whose residual (after two Gauss-Newton steps on the
     entries) is within ``REL_FLOOR`` plus the tail allowance is accepted.
     """
+    count_bound = whole_number(count_bound, "count_bound", 1)
     s = finite_array(sums, "power sums")
     if s.ndim != 1 or s.size < 4:
         raise DomainError("need a 1-d list of sums for k = 3..K")
@@ -282,8 +275,7 @@ def identify_equivalent(p: ColumnList, q: ColumnList, k_max: int, tol: float) ->
     """
     if p.dim != q.dim:
         raise DimensionMismatch("column lists live in different dimensions")
-    if k_max < 3:
-        raise DomainError("k_max must be >= 3")
+    k_max = whole_number(k_max, "k_max", 3)
     if not tol >= 0.0:
         raise DomainError(f"tol must be >= 0, got {tol}")
     if p.count != q.count:

@@ -16,15 +16,14 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .linalg import as_matrix, gram, log_det_complement, sym_eigenvalues
+from .linalg import as_matrix, gram, log_det_complement, sym_eigenvalues, whole_number
 
 NEG_INF = float("-inf")
 
 
 def log_multivariate_gamma(k: int, x: float) -> float:
     """log Gamma_k(x) = (k(k-1)/4) log pi + sum_i log Gamma(x - (i-1)/2)."""
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    k = whole_number(k, "k", 1)
     if not x > (k - 1) / 2:
         raise DomainError(f"need x > (k-1)/2 = {(k - 1) / 2}, got {x}")
     shifts = np.arange(k) / 2.0
@@ -68,8 +67,8 @@ def log_wishart_density(s, k: int, n: int) -> float:
     s = as_matrix(s)
     if s.shape != (k, k):
         raise DomainError(f"expected a {k} x {k} matrix, got shape {s.shape}")
-    if not 1 <= k <= n:
-        raise DomainError("need n >= k >= 1")
+    if k > n:
+        raise DomainError(f"k must be <= n, got k = {k}, n = {n}")
     if np.max(np.abs(s - s.T)) > 1e-12 * max(1.0, float(np.max(np.abs(s)))):
         raise DomainError("matrix is not symmetric")
     lam = sym_eigenvalues(s)

@@ -9,6 +9,8 @@ function validates its input once and computes the spectrum it needs; only
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,26 @@ def finite_array(a, what: str) -> np.ndarray:
     if m.dtype.kind not in "iuf" or not np.isfinite(m).all():
         raise DomainError(f"{what} must be finite real numbers, got {a!r:.80}")
     return m.astype(np.float64, copy=False)
+
+
+def whole_number(value, name: str, minimum: int) -> int:
+    """``value`` as an int; :class:`DomainError` unless it is a real whole
+    number (not a bool) >= ``minimum``.  2.0 is read as 2.  Every count,
+    dimension and order the package takes goes through this rule."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value % 1 == 0)
+    if isinstance(value, bool) or not whole or value < minimum:
+        raise DomainError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def increasing_n_values(values, name: str) -> list:
+    """``values`` as ints; :class:`DomainError` unless each is a whole number
+    >= 1 and the list is non-empty and increasing."""
+    values = [whole_number(n, f"each n in {name}", 1) for n in values]
+    if not values or any(b <= a for a, b in zip(values, values[1:])):
+        raise DomainError(f"{name} must be non-empty and increasing")
+    return values
 
 
 def as_matrix(a, what: str = "matrix entries", stacked: bool = False) -> np.ndarray:
@@ -147,15 +169,14 @@ class ColumnList:
 
     @classmethod
     def from_columns(cls, dim: int, columns) -> "ColumnList":
-        if dim < 1:
-            raise DimensionMismatch("dim must be >= 1")
+        dim = whole_number(dim, "dim", 1)
         cols = finite_array(columns, "column entries")
         if cols.ndim == 1 and cols.size % dim == 0:
             cols = cols.reshape(dim, -1)
-        if cols.ndim != 2 or cols.shape[0] != dim:
-            raise DimensionMismatch(
-                f"columns live in R^{cols.shape[0]}, expected R^{dim}"
-            )
+        if cols.ndim != 2:
+            raise DimensionMismatch(f"columns of shape {cols.shape}, expected R^{dim}")
+        if cols.shape[0] != dim:
+            raise DimensionMismatch(f"columns live in R^{cols.shape[0]}, expected R^{dim}")
         norms = np.linalg.norm(cols, axis=0)
         cols = cols[:, norms > 0.0]
         if cols.size and np.max(np.linalg.norm(cols, axis=0)) > np.sqrt(dim) + 1e-9:
@@ -164,7 +185,7 @@ class ColumnList:
 
     @classmethod
     def empty(cls, dim: int) -> "ColumnList":
-        return cls.from_columns(dim, np.zeros((dim, 0)))
+        return cls.from_columns(dim, [])
 
 
 def signed_permutation_equal(p: ColumnList, q: ColumnList, tol: float) -> bool:

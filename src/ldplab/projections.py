@@ -16,7 +16,8 @@ from scipy.interpolate import CubicSpline
 
 from .densities import sigma_p_squared
 from .errors import DimensionMismatch, DomainError, NumericalFailure, UnsupportedLaw
-from .linalg import ColumnList, as_matrix, finite_array, gram, psd_sqrt
+from .linalg import (ColumnList, as_matrix, finite_array, gram, increasing_n_values,
+                     psd_sqrt, whole_number)
 from .samplers import (
     PGaussianParams,
     SeededRng,
@@ -186,8 +187,7 @@ class ProjectedLaw:
 
 def sample_projected_law(rng: SeededRng, law: ProjectedLaw, count: int) -> EmpiricalMeasure:
     """``count`` i.i.d. draws of sum_j C_j Y_j + sigma (I - A A^T)^(1/2) N_k."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    count = whole_number(count, "count", 1)
     gen = rng.generator()
     normals = gen.standard_normal((count, law.a.dim))
     points = math.sqrt(law.noise_variance) * normals @ law.root.T
@@ -203,9 +203,7 @@ def project_product_batch(gen, v, law, count: int) -> EmpiricalMeasure:
     v = as_matrix(v)
     if v.shape[0] > v.shape[1]:
         raise DimensionMismatch("frame must have k <= n")
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    y = law_draws(gen, law, (count, v.shape[1]))
+    y = law_draws(gen, law, (whole_number(count, "count", 1), v.shape[1]))
     return EmpiricalMeasure.from_points(y @ v.T)
 
 
@@ -229,16 +227,24 @@ def project_lp_ball(rng: SeededRng, v, p: float, count: int) -> EmpiricalMeasure
     return project_lp_ball_batch(rng.generator(), v, p, count)
 
 
+def _frequency(t, dim: int) -> np.ndarray:
+    """``t`` as a float64 vector in R^dim, else DimensionMismatch."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.size != dim:
+        raise DimensionMismatch(f"frequency has {t.size} entries, expected {dim}")
+    return t.reshape(dim)
+
+
 def empirical_cf(measure: EmpiricalMeasure, t) -> complex:
     """Empirical characteristic function at the frequency vector t."""
-    t = np.asarray(t, dtype=np.float64).reshape(measure.dim)
+    t = _frequency(t, measure.dim)
     phases = measure.points @ t
     return complex(np.mean(np.cos(phases)), np.mean(np.sin(phases)))
 
 
 def characteristic_function(law: ProjectedLaw, t) -> complex:
     """Exact characteristic function of a projected law; real by symmetry."""
-    t = np.asarray(t, dtype=np.float64).reshape(law.a.dim)
+    t = _frequency(t, law.a.dim)
     quad_form = float(t @ law.complement @ t)
     value = math.exp(-0.5 * law.noise_variance * max(quad_form, 0.0))
     if law.a.count:
@@ -281,11 +287,11 @@ def _lp_threshold(d_a: np.ndarray, d_b: np.ndarray) -> float:
     return float(np.max(np.minimum(reach, count_a - j / n_b)))
 
 
-def _check_lp_domain(dim: int, grid: int) -> None:
+def _lp_grid(dim: int, grid) -> int:
+    """``grid`` as an int >= 2, once ``dim`` <= 3 is checked."""
     if dim > 3:
         raise DomainError("the estimator is restricted to k <= 3")
-    if grid < 2:
-        raise DomainError("grid must be >= 2")
+    return whole_number(grid, "grid", 2)
 
 
 # A grid point this close to the exact threshold (relative to the largest
@@ -309,7 +315,7 @@ def levy_prokhorov(mu: EmpiricalMeasure, nu: EmpiricalMeasure, grid: int = 200) 
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch("sample clouds live in different dimensions")
-    _check_lp_domain(mu.dim, grid)
+    grid = _lp_grid(mu.dim, grid)
 
     pooled = np.vstack([mu.points, nu.points])
     # deterministic subsample: lexicographic order, even stride
@@ -346,12 +352,9 @@ def compare_ball_vs_product(
 
     Returns a list of (n, distance) pairs.
     """
-    n_list = list(n_list)
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise DomainError("n_list must be increasing")
-    if count < 10**3:
-        raise DomainError("need count >= 1000 samples per cloud")
-    _check_lp_domain(k, grid)
+    n_list = increasing_n_values(n_list, "n_list")
+    count = whole_number(count, "count", 10**3)
+    grid = _lp_grid(k, grid)
     out = []
     for idx, n in enumerate(n_list):
         v = stiefel_batch(rng.child(idx, 0), k, n, 1)[0]

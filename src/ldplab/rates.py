@@ -24,6 +24,7 @@ from .linalg import (
     gram,
     log_det_complement,
     operator_norm,
+    whole_number,
 )
 
 INF = float("inf")
@@ -85,7 +86,8 @@ def rate_truncated(a: ColumnList, max_level: int | None = None):
     lower bound at ``max_level`` with the dropped mass in ``tail_bound``.
     """
     n_cols = a.count
-    levels = n_cols if max_level is None else min(max_level, n_cols)
+    levels = n_cols if max_level is None else min(
+        whole_number(max_level, "max_level", 1), n_cols)
     # every prefix Gram matrix at once, as running sums of column outer
     # products, and one batched eigensolve over the stack
     cols = a.columns[:, :levels].T
@@ -121,9 +123,7 @@ def rate_orthogonal_truncated(m, k_max: int) -> TruncationReport:
     if m.shape[0] != m.shape[1]:
         raise DomainError("matrix must be square")
     n = m.shape[0]
-    if k_max < 1:
-        raise DomainError("k_max must be >= 1")
-    levels = min(k_max, n)
+    levels = min(whole_number(k_max, "k_max", 1), n)
     # the Gram matrix of the first k rows is the leading k x k block of one
     # Gram matrix
     g = m[:levels] @ m[:levels].T

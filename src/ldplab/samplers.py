@@ -6,9 +6,9 @@ generator from the ``SeededRng`` value, so identical inputs reproduce
 identical output bit for bit.  Independent draws come from distinct
 ``stream_id`` values (or the ``count`` arguments), never from shared state.
 
-Each law has one batched body, which checks the law's domain and
-``count >= 1`` before it draws and raises ``DomainError`` otherwise; the
-single-draw functions wrap it.
+Each law has one batched body, which checks the law's domain and reads each
+count and dimension through ``whole_number`` before it draws, raising
+``DomainError`` otherwise; the single-draw functions wrap it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .linalg import whole_number
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,8 @@ class SeededRng:
     stream_id: int = 0
 
     def __post_init__(self):
-        if self.seed < 0 or self.stream_id < 0:
-            raise DomainError(f"negative seed or stream: {self.seed}, {self.stream_id}")
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed", 0))
+        object.__setattr__(self, "stream_id", whole_number(self.stream_id, "stream", 0))
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
@@ -65,14 +66,16 @@ class PGaussianParams:
 
 def gaussian_matrix(rng: SeededRng, k: int, n: int) -> np.ndarray:
     """k x n matrix of i.i.d. standard normals."""
-    if k < 1 or n < 1:
-        raise DomainError("matrix dimensions must be >= 1")
-    return rng.generator().standard_normal((k, n))
+    shape = (whole_number(k, "k", 1), whole_number(n, "n", 1))
+    return rng.generator().standard_normal(shape)
 
 
-def _check_count(count: int) -> None:
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+def _frame_shape(k, n, count) -> tuple:
+    """(k, n, count) as ints with 1 <= k <= n and count >= 1, else DomainError."""
+    k, n = whole_number(k, "k", 1), whole_number(n, "n", 1)
+    if k > n:
+        raise DomainError(f"k must be <= n, got k = {k}, n = {n}")
+    return k, n, whole_number(count, "count", 1)
 
 
 def stiefel_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.ndarray:
@@ -82,9 +85,7 @@ def stiefel_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.nd
     the signs of diag(R) divided out so that the law is exactly Haar
     (Mezzadri, Notices AMS 54, 2007).
     """
-    if not 1 <= k <= n:
-        raise DomainError(f"k must be <= n and >= 1, got k = {k}, n = {n}")
-    _check_count(count)
+    k, n, count = _frame_shape(k, n, count)
     q, r = np.linalg.qr(gen.standard_normal((count, n, k)))
     signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     return np.swapaxes(q * signs[:, None, :], 1, 2)
@@ -107,9 +108,7 @@ def wishart_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.nd
     triangular, L_ii^2 ~ chi^2(n - i) for i = 0, ..., k - 1 and standard
     normals below the diagonal, so a draw costs O(k^2) whatever n is.
     """
-    if not 1 <= k <= n:
-        raise DomainError(f"need n >= k >= 1, got k = {k}, n = {n}")
-    _check_count(count)
+    k, n, count = _frame_shape(k, n, count)
     low = np.zeros((count, k, k))
     below = np.tri(k, k, -1, dtype=bool)
     low[:, below] = gen.standard_normal((count, int(below.sum())))
@@ -129,12 +128,12 @@ def p_gaussian_batch(gen: np.random.Generator, p: float, shape) -> np.ndarray:
 
     Uses the exact Gamma transform |X|^p / p ~ Gamma(1/p, 1) for finite p;
     p = inf yields Uniform[-1, 1].  Needs p >= 1 and every extent of
-    ``shape`` >= 1.
+    ``shape`` (an int or a sequence) a whole number >= 1.
     """
     if not p >= 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    if np.any(np.asarray(shape) < 1):
-        raise DomainError(f"every extent of shape must be >= 1, got {shape}")
+    shape = tuple(whole_number(extent, "each extent of shape", 1)
+                  for extent in (shape if np.iterable(shape) else (shape,)))
     if math.isinf(p):
         return gen.uniform(-1.0, 1.0, size=shape)
     g = gen.gamma(1.0 / p, 1.0, size=shape)
@@ -152,8 +151,8 @@ def uniform_lp_ball(
 ) -> np.ndarray:
     """Uniform point on ``radius_scale`` times the unit lp ball in R^n.
 
-    Representation: radius_scale * U^(1/n) * Z / ||Z||_p with Z a vector of
-    i.i.d. p-Gaussians and U ~ Uniform[0, 1] independent of Z.
+    Representation for finite p: radius_scale * U^(1/n) * Z / ||Z||_p with Z
+    a vector of i.i.d. p-Gaussians and U ~ Uniform[0, 1] independent of Z.
     """
     return lp_ball_batch(rng.generator(), p, n, radius_scale, 1)[0]
 
@@ -162,18 +161,20 @@ def lp_ball_batch(
     gen: np.random.Generator, p: float, n: int, radius_scale: float | None, count: int
 ) -> np.ndarray:
     """(count, n) array of independent uniform points of ``radius_scale``
-    times the unit lp ball; ``radius_scale=None`` means n^(1/p), the scaling
-    of the projection results."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not 1 <= p < math.inf:
-        raise DomainError(f"p must be in [1, inf), got {p}")
+    times the unit lp ball, 1 <= p <= inf; ``radius_scale=None`` means
+    n^(1/p), the scaling of the projection results.  The l-inf ball is the
+    cube: ``radius_scale`` times i.i.d. Uniform[-1, 1], with no radial draw."""
+    n = whole_number(n, "n", 1)
+    if not p >= 1:
+        raise DomainError(f"p must be in [1, inf], got {p}")
     if radius_scale is None:
         radius_scale = n ** (1.0 / p)
     elif not 0 < radius_scale < math.inf:
         raise DomainError(f"radius_scale must be finite and > 0, got {radius_scale}")
-    _check_count(count)
+    count = whole_number(count, "count", 1)
     z = p_gaussian_batch(gen, p, (count, n))
+    if math.isinf(p):
+        return radius_scale * z
     u = gen.uniform(size=(count, 1))
     norms = np.linalg.norm(z, ord=p, axis=1, keepdims=True)
     return radius_scale * u ** (1.0 / n) * z / norms
@@ -187,9 +188,9 @@ def dickey_corner_batch(
 
     ``T T^T`` always has operator norm < 1.
     """
-    if min(k, m, big_n) < 1:
-        raise DomainError(f"k, m, N must all be >= 1, got k = {k}, m = {m}, N = {big_n}")
-    _check_count(count)
+    k, m, big_n = (whole_number(k, "k", 1), whole_number(m, "m", 1),
+                   whole_number(big_n, "N", 1))
+    count = whole_number(count, "count", 1)
     g = gen.standard_normal((count, k, m))
     s = wishart_batch(gen, k, big_n + k - 1, count)
     vals, vecs = np.linalg.eigh(s + g @ np.swapaxes(g, 1, 2))

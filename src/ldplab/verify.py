@@ -18,14 +18,13 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import ks_2samp, kstest
 
-from .configurations import PointConfiguration, whole_number
+from .configurations import PointConfiguration
 from .densities import log_corner_density, sigma_p_squared
 from .errors import DomainError, InfeasibleExperiment, NumericalFailure
-from .linalg import as_matrix
-from .projections import project_lp_ball_batch, project_product_batch
+from .linalg import as_matrix, increasing_n_values, whole_number
+from .projections import project_lp_ball_batch
 from .rates import rate_configuration, rate_finite
 from .samplers import (
-    PGaussianParams,
     SeededRng,
     dickey_corner_batch,
     stiefel_batch,
@@ -42,14 +41,6 @@ def worker_count(threads=None) -> int:
     if threads is not None:
         return max(1, int(threads))
     return max(1, os.cpu_count() or 1)
-
-
-def _check_n_values(n_values) -> list:
-    """``n_values`` as ints; refused unless whole, non-empty and increasing."""
-    n_values = [whole_number(n, "each n in n_values", 1) for n in n_values]
-    if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise DomainError("n_values must be non-empty and increasing")
-    return n_values
 
 
 def json_float(x):
@@ -94,7 +85,7 @@ class LdpExperiment:
             raise DomainError("target shape must be (k, ell)")
         if not 0 < self.radius < math.inf:
             raise DomainError(f"radius must be finite and > 0, got {self.radius}")
-        self.n_values = _check_n_values(self.n_values)
+        self.n_values = increasing_n_values(self.n_values, "n_values")
         if self.method not in ("montecarlo", "quadrature"):
             raise DomainError("method must be 'montecarlo' or 'quadrature'")
         if self.method == "quadrature" and (self.k != 1 or self.ell != 1):
@@ -266,11 +257,8 @@ def _monte_carlo_slope(rng: SeededRng, k: int, n_values, samples: int,
             batch, size = job
             return hits(rng.child(idx, batch), size, n)
 
-        if workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                count = sum(pool.map(one, jobs))
-        else:
-            count = sum(map(one, jobs))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            count = sum(pool.map(one, jobs))
         if count == 0:
             raise InfeasibleExperiment(
                 f"zero hits out of {samples} samples at n={n}"
@@ -374,7 +362,7 @@ def run_ldp_configuration(
     """
     if target.dim != k:
         raise DomainError("target dimension does not match k")
-    n_values = _check_n_values(n_values)
+    n_values = increasing_n_values(n_values, "n_values")
     if n_values[0] < k:
         raise DomainError(f"a k x n frame needs n >= k = {k}, got n = {n_values[0]}")
     samples_per_n = whole_number(samples_per_n, "samples_per_n", 1)
@@ -471,14 +459,11 @@ class GaussianFitReport:
 
 def run_clt_check(rng: SeededRng, k: int, p: float, n: int, samples: int) -> GaussianFitReport:
     """Project through one Haar frame and KS-test each marginal against the
-    limiting N(0, sigma_p^2); the cube case p = inf projects the uniform
-    product law with variance 1/3."""
+    limiting N(0, sigma_p^2); in the cube case p = inf the ball is [-1, 1]^n
+    and sigma^2 = 1/3."""
     sigma2 = sigma_p_squared(p)
     v = stiefel_batch(rng.child(0), k, n, 1)[0]
-    if math.isinf(p):
-        cloud = project_product_batch(rng.child(1), v, PGaussianParams(p), samples)
-    else:
-        cloud = project_lp_ball_batch(rng.child(1), v, p, samples)
+    cloud = project_lp_ball_batch(rng.child(1), v, p, samples)
     scale = math.sqrt(sigma2)
     marginals = []
     for i in range(k):

@@ -286,9 +286,14 @@ def test_project_and_compare(tmp_path, capsys):
                 "--out", str(out)]) == 0
     rows = np.loadtxt(out, delimiter=",")
     assert rows.shape == (50, 2)
-    assert run(["project", "--mode", "lpball", "--k", "2", "--n", "40",
-                "--p", "inf", "--count", "50", "--seed", "3",
-                "--out", str(out)]) == 2
+    # the l-inf ball n^(1/inf) B_inf^n is the cube: the same draws as the
+    # uniform product law
+    cube = tmp_path / "cube.csv"
+    for mode, path in (("lpball", out), ("product", cube)):
+        assert run(["project", "--mode", mode, "--k", "2", "--n", "40",
+                    "--p", "inf", "--count", "50", "--seed", "3",
+                    "--out", str(path)]) == 0
+    assert out.read_text() == cube.read_text()
     assert run(["project", "--mode", "product", "--k", "5", "--n", "3",
                 "--p", "2", "--count", "50", "--seed", "3",
                 "--out", str(out)]) == 2

@@ -382,8 +382,11 @@ def test_finite_real_refuses(value):
         finite_real(value, "x")
 
 
+# a float32 compared with the float64 maximum warned of an overflow in cast
+@pytest.mark.filterwarnings("error")
 def test_finite_real_accepts():
-    for value, expected in ((0.5, 0.5), (2, 2.0), (np.float64(0.25), 0.25), (-1e300, -1e300)):
+    for value, expected in ((0.5, 0.5), (2, 2.0), (np.float64(0.25), 0.25), (-1e300, -1e300),
+                            (np.float32(0.25), 0.25)):
         got = finite_real(value, "x")
         assert got == expected and type(got) is float
 

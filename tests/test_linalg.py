@@ -316,4 +316,7 @@ def test_column_list_refusals_are_typed():
         ColumnList.from_columns(1, [[2.0]])
     with pytest.raises(DimensionMismatch, match="expected R\\^2"):
         ColumnList.from_columns(2, [0.1, 0.2, 0.3])
+    # a scalar raised IndexError while the message was built
+    with pytest.raises(DimensionMismatch, match="expected R\\^2"):
+        ColumnList.from_columns(2, 0.5)
     assert ColumnList.from_columns(2, []).columns.shape == (2, 0)

@@ -372,6 +372,16 @@ def test_characteristic_function_degenerate_uniform():
         assert abs(characteristic_function(law, [t]).real - want) < 1e-12
 
 
+def test_characteristic_functions_refuse_a_frequency_of_the_wrong_length():
+    # numpy's reshape error escaped before
+    law = ProjectedLaw(a=columns(2, [[0.5, 0.1], [0.2, -0.3]]), noise_variance=1.0,
+                       product_law=PGaussianParams(2.0))
+    cloud = EmpiricalMeasure.from_points(np.zeros((3, 2)))
+    for cf, arg in ((characteristic_function, law), (empirical_cf, cloud)):
+        with pytest.raises(DimensionMismatch, match="frequency has 3 entries, expected 2"):
+            cf(arg, [0.1, 0.2, 0.3])
+
+
 def test_characteristic_function_normalized_and_bounded():
     law = ProjectedLaw(a=columns(2, [[0.5, 0.1], [0.2, -0.3]]),
                        noise_variance=2.0, product_law=PGaussianParams(1.0))

@@ -233,11 +233,62 @@ def test_stiefel_gram_is_identity_across_sizes():
         assert np.linalg.norm(v @ v.T - np.eye(k)) < 1e-10
 
 
+def test_lp_ball_batch_inf_is_the_scaled_cube():
+    # the l-inf ball is [-1, 1]^n: n^(1/inf) is exactly 1 and there is no
+    # radial draw, so the stream goes on as after the cube draw alone
+    ref = SeededRng(31).generator()
+    cube = p_gaussian_batch(ref, math.inf, (5, 4))
+    after = ref.random()
+    for scale, expected in ((None, cube), (2.5, 2.5 * cube)):
+        gen = SeededRng(31).generator()
+        assert np.array_equal(lp_ball_batch(gen, math.inf, 4, scale, 5), expected)
+        assert gen.random() == after
+
+
+# (id, argument name, draw taking the argument as x, minimum, a valid value)
+# for every whole-number argument of the samplers
+WHOLE_ARGS = [
+    ("seed", "seed", lambda gen, x: SeededRng(x).generator().random(2), 0, 2),
+    ("stream", "stream", lambda gen, x: SeededRng(1, x).generator().random(2), 0, 2),
+    ("gaussian_k", "k", lambda gen, x: gaussian_matrix(SeededRng(1), x, 3), 1, 2),
+    ("gaussian_n", "n", lambda gen, x: gaussian_matrix(SeededRng(1), 2, x), 1, 2),
+    ("stiefel_k", "k", lambda gen, x: stiefel_batch(gen, x, 4, 3), 1, 2),
+    ("stiefel_n", "n", lambda gen, x: stiefel_batch(gen, 1, x, 3), 1, 2),
+    ("stiefel_count", "count", lambda gen, x: stiefel_batch(gen, 2, 4, x), 1, 2),
+    ("wishart_k", "k", lambda gen, x: wishart_batch(gen, x, 4, 3), 1, 2),
+    ("wishart_n", "n", lambda gen, x: wishart_batch(gen, 1, x, 3), 1, 2),
+    ("wishart_count", "count", lambda gen, x: wishart_batch(gen, 2, 4, x), 1, 2),
+    ("dickey_k", "k", lambda gen, x: dickey_corner_batch(gen, x, 2, 3, 3), 1, 2),
+    ("dickey_m", "m", lambda gen, x: dickey_corner_batch(gen, 2, x, 3, 3), 1, 2),
+    ("dickey_N", "N", lambda gen, x: dickey_corner_batch(gen, 2, 2, x, 3), 1, 2),
+    ("dickey_count", "count", lambda gen, x: dickey_corner_batch(gen, 2, 2, 3, x), 1, 2),
+    ("pgauss_count", "each extent of shape",
+     lambda gen, x: p_gaussian_batch(gen, 1.5, x), 1, 2),
+    ("pgauss_extent", "each extent of shape",
+     lambda gen, x: p_gaussian_batch(gen, 1.5, (3, x)), 1, 2),
+    ("lpball_n", "n", lambda gen, x: lp_ball_batch(gen, 1.5, x, None, 3), 1, 2),
+    ("lpball_count", "count", lambda gen, x: lp_ball_batch(gen, 1.5, 4, None, x), 1, 2),
+]
+BAD_WHOLE = [(f"{case}_{bad!r}", lambda gen, draw=draw, bad=bad: draw(gen, bad))
+             for case, _, draw, minimum, _ in WHOLE_ARGS
+             for bad in (2.5, True, minimum - 1)]
+
+
+@pytest.mark.parametrize("name, draw, minimum, valid",
+                         [case[1:] for case in WHOLE_ARGS],
+                         ids=[case[0] for case in WHOLE_ARGS])
+def test_samplers_read_whole_numbers(name, draw, minimum, valid):
+    for bad in (2.5, True, minimum - 1):
+        with pytest.raises(DomainError, match=f"^{name} must be a whole number >= {minimum}"):
+            draw(SeededRng(31).generator(), bad)
+    assert np.array_equal(draw(SeededRng(31).generator(), float(valid)),
+                          draw(SeededRng(31).generator(), valid))
+
+
 @pytest.mark.parametrize("draw", [
     lambda gen: wishart_batch(gen, 3, 2, 5),
     lambda gen: dickey_corner_batch(gen, 2, 2, 0, 5),
     lambda gen: lp_ball_batch(gen, 0.5, 4, 1.0, 5),
-    lambda gen: lp_ball_batch(gen, math.inf, 4, 1.0, 5),
     lambda gen: lp_ball_batch(gen, 2.0, 0, 1.0, 5),
     lambda gen: lp_ball_batch(gen, 2.0, 4, 0.0, 5),
     lambda gen: lp_ball_batch(gen, 2.0, 4, -1.0, 5),
@@ -249,11 +300,12 @@ def test_stiefel_gram_is_identity_across_sizes():
     lambda gen: stiefel_batch(gen, 0, 4, 5),
     lambda gen: stiefel_batch(gen, 2, 4, 0),
     lambda gen: stiefel_batch(gen, 2, 4, -1),
-], ids=["wishart_n_lt_k", "dickey_N0", "lpball_p0.5", "lpball_pinf",
+    *(draw for _, draw in BAD_WHOLE),
+], ids=["wishart_n_lt_k", "dickey_N0", "lpball_p0.5",
         "lpball_n0", "lpball_scale0", "lpball_scale_neg", "lpball_scale_inf",
         "lpball_scale_nan", "pgauss_p0",
         "pgauss_p0.5", "pgauss_zero_extent", "stiefel_k0", "stiefel_count0",
-        "stiefel_count_neg"])
+        "stiefel_count_neg", *(case for case, _ in BAD_WHOLE)])
 def test_batched_samplers_refuse_out_of_domain(draw):
     gen = SeededRng(31).generator()
     with pytest.raises(DomainError):

@@ -89,6 +89,8 @@ ROWS = {
                          "--scale", "2", "--count", "4", "--seed", "7", "--out", "s.csv"),
     "sample_lpball_p1": cmd("sample", "--dist", "lpball", "--p", "1", "--n", "4",
                             "--count", "4", "--seed", "7", "--out", "s.csv"),
+    "sample_lpball_p_inf": cmd("sample", "--dist", "lpball", "--p", "inf", "--n", "4",
+                               "--count", "4", "--seed", "7", "--out", "s.csv"),
     "rate_matrix": cmd("rate", "--matrix", "[[0.5, 0.1], [0.0, 0.3]]"),
     "rate_boundary": cmd("rate", "--matrix", "[[1.0]]"),
     "rate_csv": rate_csv({"row_shape": [2, 2]}, row="1"),
@@ -104,6 +106,9 @@ ROWS = {
                            "--at", "[[1, 0.5], [0.5, 1]]"),
     "project_lpball": cmd("project", "--mode", "lpball", "--k", "2", "--n", "40",
                           "--p", "1", "--count", "20", "--seed", "3", "--out", "c.csv"),
+    "project_lpball_p_inf": cmd("project", "--mode", "lpball", "--k", "2", "--n", "10",
+                                "--p", "inf", "--count", "20", "--seed", "3",
+                                "--out", "c.csv"),
     "project_product": cmd("project", "--mode", "product", "--k", "2", "--n", "10",
                            "--p", "infinity", "--count", "20", "--seed", "3",
                            "--out", "c.csv"),
