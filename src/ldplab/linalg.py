@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,11 @@ def whole_number(value, name: str, minimum: int) -> int:
 
 
 def increasing_n_values(values, name: str) -> list:
-    """``values`` as ints; :class:`DomainError` unless each is a whole number
-    >= 1 and the list is non-empty and increasing."""
+    """``values`` as ints; :class:`DomainError` unless it is a sequence (a
+    list, tuple or 1-d array), each entry is a whole number >= 1 and the
+    list is non-empty and increasing."""
+    if not (isinstance(values, Sequence) or np.ndim(values) == 1):
+        raise DomainError(f"{name} must be a sequence of whole numbers, got {values!r}")
     values = [whole_number(n, f"each n in {name}", 1) for n in values]
     if not values or any(b <= a for a, b in zip(values, values[1:])):
         raise DomainError(f"{name} must be non-empty and increasing")

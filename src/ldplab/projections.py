@@ -12,7 +12,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .densities import sigma_p_squared
 from .errors import DimensionMismatch, DomainError, NumericalFailure, UnsupportedLaw
@@ -120,6 +119,9 @@ class _PGaussianCF:
         return val / norm
 
     def _extend(self, s_max: float):
+        # imported on first use, so that importing ldplab leaves scipy.interpolate unloaded
+        from scipy.interpolate import CubicSpline
+
         s_max = max(2.0, 1.25 * s_max)
         grid = np.arange(0.0, s_max + self.STEP, self.STEP)
         vals = np.array([self._point(s) for s in grid])

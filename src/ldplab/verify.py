@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.stats import ks_2samp, kstest
 
 from .configurations import PointConfiguration
 from .densities import log_corner_density, sigma_p_squared
@@ -80,6 +79,8 @@ class LdpExperiment:
     method: str = "montecarlo"  # or "quadrature"
 
     def __post_init__(self):
+        self.k = whole_number(self.k, "k", 1)
+        self.ell = whole_number(self.ell, "ell", 1)
         self.target = as_matrix(self.target, "target entries")
         if self.target.shape != (self.k, self.ell):
             raise DomainError("target shape must be (k, ell)")
@@ -360,6 +361,7 @@ def run_ldp_configuration(
     columns lie within rho of the pair, and no column outside the atom
     balls has norm above r.
     """
+    k = whole_number(k, "k", 1)
     if target.dim != k:
         raise DomainError("target dimension does not match k")
     n_values = increasing_n_values(n_values, "n_values")
@@ -419,6 +421,11 @@ def run_dickey_check(rng: SeededRng, k: int, m: int, n: int, samples: int,
     ``dof_offset`` shifts N; a nonzero offset is the negative control and
     should be detectable at moderate sample sizes.
     """
+    # imported on first use, so that importing ldplab leaves scipy.stats unloaded
+    from scipy.stats import ks_2samp
+
+    k, m = whole_number(k, "k", 1), whole_number(m, "m", 1)
+    n = whole_number(n, "n", 1)
     if n < m + k:
         raise DomainError("need n >= m + k")
     dof = n - m - k + 1 + dof_offset
@@ -461,6 +468,10 @@ def run_clt_check(rng: SeededRng, k: int, p: float, n: int, samples: int) -> Gau
     """Project through one Haar frame and KS-test each marginal against the
     limiting N(0, sigma_p^2); in the cube case p = inf the ball is [-1, 1]^n
     and sigma^2 = 1/3."""
+    # imported on first use, so that importing ldplab leaves scipy.stats unloaded
+    from scipy.stats import kstest
+
+    k, n = whole_number(k, "k", 1), whole_number(n, "n", 1)
     sigma2 = sigma_p_squared(p)
     v = stiefel_batch(rng.child(0), k, n, 1)[0]
     cloud = project_lp_ball_batch(rng.child(1), v, p, samples)

@@ -1,6 +1,10 @@
-"""No ldplab module imports an underscore-prefixed name from another."""
+"""Static rules on how ldplab modules import: no private names across
+modules, no unused imports, one JSON reader and writer, typed raises, and
+no scipy.stats or scipy.interpolate at import time."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import ldplab
@@ -121,3 +125,20 @@ def test_every_raise_is_typed():
     # main() maps LdpLabError and OSError to exit codes; anything else
     # propagates as a bug, so the package itself raises only its own types
     assert [hit for path in MODULES for hit in _untyped_raises(path)] == []
+
+
+# scipy.stats (the KS checks) and scipy.interpolate (the p-Gaussian CF
+# spline) are imported inside the functions that use them, so a short
+# process pays for neither unless it runs one of those functions
+LAZY_MODULES = ("scipy.stats", "scipy.interpolate")
+
+
+def test_importing_ldplab_leaves_heavy_scipy_modules_unloaded():
+    names = ", ".join(f"'ldplab.{path.stem}'" for path in MODULES if path.stem != "__init__")
+    code = (f"import importlib, sys\n"
+            f"for name in ({names}):\n"
+            f"    importlib.import_module(name)\n"
+            f"print(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent)
+    assert out.stdout.strip() == "[]"

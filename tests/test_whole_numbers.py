@@ -8,7 +8,12 @@ import pickle
 import numpy as np
 import pytest
 
-from ldplab.configurations import identify_equivalent, power_sums, recover_from_power_sums
+from ldplab.configurations import (
+    PointConfiguration,
+    identify_equivalent,
+    power_sums,
+    recover_from_power_sums,
+)
 from ldplab.densities import log_multivariate_gamma
 from ldplab.errors import DomainError
 from ldplab.linalg import ColumnList
@@ -23,6 +28,7 @@ from ldplab.projections import (
 )
 from ldplab.rates import rate_orthogonal_truncated, rate_truncated
 from ldplab.samplers import SeededRng
+from ldplab.verify import LdpExperiment, run_clt_check, run_dickey_check, run_ldp_configuration
 
 COLUMNS = [[0.5, 0.0, 0.1], [0.0, 0.4, 0.1]]
 LIST = ColumnList.from_columns(2, COLUMNS)
@@ -33,8 +39,26 @@ CLOUDS = [EmpiricalMeasure.from_points(SeededRng(i).generator().standard_normal(
           for i in (1, 2)]
 
 
-def compare(n=20, count=1000, grid=2):
-    return compare_ball_vs_product(SeededRng(5), 1, 2.0, [n], count, grid=grid)
+def compare(n=20, count=1000, grid=2, n_list=None):
+    return compare_ball_vs_product(SeededRng(5), 1, 2.0, n_list or [n], count, grid=grid)
+
+
+def experiment(k=1, ell=1, n_values=(20, 40)):
+    return LdpExperiment(k=k, ell=ell, target=np.full((1, 1), 0.2), radius=0.1,
+                         n_values=n_values, samples_per_n=4000)
+
+
+def configuration(k=1, n_values=(30, 60)):
+    return run_ldp_configuration(SeededRng(2), k, PointConfiguration.empty(1), 0.5, 0.05,
+                                 n_values, 2000)
+
+
+def dickey(k=1, m=1, n=10):
+    return run_dickey_check(SeededRng(3), k, m, n, 200)
+
+
+def clt(k=1, n=50):
+    return run_clt_check(SeededRng(4), k, 2.0, n, 200)
 
 
 # (id, argument name, call taking the argument as x, minimum, a valid value)
@@ -60,6 +84,14 @@ CASES = [
      lambda x: recover_from_power_sums(SUMS, x, 1e-9), 1, 2),
     ("identify_equivalent.k_max", "k_max",
      lambda x: identify_equivalent(LIST, LIST, x, 1e-9), 3, 4),
+    ("LdpExperiment.k", "k", lambda x: experiment(k=x), 1, 1),
+    ("LdpExperiment.ell", "ell", lambda x: experiment(ell=x), 1, 1),
+    ("run_ldp_configuration.k", "k", lambda x: configuration(k=x), 1, 1),
+    ("run_dickey_check.k", "k", lambda x: dickey(k=x), 1, 1),
+    ("run_dickey_check.m", "m", lambda x: dickey(m=x), 1, 1),
+    ("run_dickey_check.n", "n", lambda x: dickey(n=x), 1, 10),
+    ("run_clt_check.k", "k", lambda x: clt(k=x), 1, 1),
+    ("run_clt_check.n", "n", lambda x: clt(n=x), 1, 50),
 ]
 
 
@@ -76,3 +108,14 @@ def test_compare_refuses_an_empty_n_list():
     # returned [] before
     with pytest.raises(DomainError, match="n_list must be non-empty and increasing"):
         compare_ball_vs_product(SeededRng(5), 1, 2.0, [], 1000)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("n_values", lambda: experiment(n_values=5)),
+    ("n_values", lambda: configuration(n_values=5)),
+    ("n_list", lambda: compare(n_list=5)),
+], ids=["LdpExperiment", "run_ldp_configuration", "compare_ball_vs_product"])
+def test_n_lists_must_be_sequences(name, call):
+    # raised TypeError ('int' object is not iterable) before
+    with pytest.raises(DomainError, match=f"^{name} must be a sequence of whole numbers, got 5"):
+        call()
