@@ -302,6 +302,18 @@ def _lp_grid(dim: int, grid) -> int:
 _LP_TIE_BAND = 1e-9
 
 
+def _sorted_distances(rows: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Sorted Euclidean distances from ``center`` to the points whose
+    coordinates are the rows of ``rows``; summed coordinate by coordinate in
+    order, which for dim <= 3 is bit-identical to ``np.linalg.norm`` over
+    axis 1 of the points."""
+    d2 = (rows[0] - center[0]) ** 2
+    for row, c in zip(rows[1:], center[1:]):
+        d2 += (row - c) ** 2
+    d2.sort()
+    return np.sqrt(d2, out=d2)
+
+
 def levy_prokhorov(mu: EmpiricalMeasure, nu: EmpiricalMeasure, grid: int = 200) -> float:
     """Levy-Prokhorov distance estimate between two sample clouds.
 
@@ -326,11 +338,9 @@ def levy_prokhorov(mu: EmpiricalMeasure, nu: EmpiricalMeasure, grid: int = 200) 
     stride = max(1, int(math.ceil(pooled.shape[0] / grid)))
     centers = pooled[::stride]
 
-    dists_mu = []
-    dists_nu = []
-    for c in centers:
-        dists_mu.append(np.sort(np.linalg.norm(mu.points - c, axis=1)))
-        dists_nu.append(np.sort(np.linalg.norm(nu.points - c, axis=1)))
+    rows_mu, rows_nu = mu.points.T.copy(), nu.points.T.copy()
+    dists_mu = [_sorted_distances(rows_mu, c) for c in centers]
+    dists_nu = [_sorted_distances(rows_nu, c) for c in centers]
 
     threshold = max(
         max(_lp_threshold(d_mu, d_nu), _lp_threshold(d_nu, d_mu))

@@ -87,8 +87,8 @@ def stiefel_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.nd
     """
     k, n, count = _frame_shape(k, n, count)
     q, r = np.linalg.qr(gen.standard_normal((count, n, k)))
-    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
-    return np.swapaxes(q * signs[:, None, :], 1, 2)
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return np.swapaxes(q, 1, 2)
 
 
 def haar_stiefel(rng: SeededRng, k: int, n: int) -> np.ndarray:

@@ -35,10 +35,10 @@ BATCH_ELEMENTS = 4_000_000
 
 
 def worker_count(threads=None) -> int:
-    """Worker threads: ``threads`` (at least 1), or the CPU count when it is
-    None."""
+    """Worker threads: ``threads``, a whole number >= 1, or the CPU count
+    when it is None."""
     if threads is not None:
-        return max(1, int(threads))
+        return whole_number(threads, "threads", 1)
     return max(1, os.cpu_count() or 1)
 
 
@@ -236,10 +236,12 @@ def _monte_carlo_slope(rng: SeededRng, k: int, n_values, samples: int,
     hits among ``size`` k x n draws from ``gen``, and fit the slope.
 
     Batch b at the i-th n draws from ``rng.child(i, b)`` and holds at most
-    ``BATCH_ELEMENTS / (n k)`` draws; batches run on ``worker_count(threads)``
-    threads and their counts are summed in batch order, so the estimate does
-    not depend on the thread count.  Refuses runs whose expected hit count at
-    the largest n is below 10, and any n with zero hits.
+    ``BATCH_ELEMENTS / (n k)`` draws.  The batches of every n go to one pool
+    of ``worker_count(threads)`` threads, largest first, so no n waits for
+    the last batch of the one before; each n's counts are summed in batch
+    order, so the estimate does not depend on the thread count.  Refuses
+    runs whose expected hit count at the largest n is below 10, and then the
+    first n with zero hits.
     """
     n_max = max(n_values)
     if rate_ref * n_max > math.log(samples / 10.0):
@@ -247,19 +249,23 @@ def _monte_carlo_slope(rng: SeededRng, k: int, n_values, samples: int,
             f"expected hit count below 10 at n={n_max}: "
             f"rate {rate_ref:.4g} * n exceeds log(samples/10)"
         )
-    workers = worker_count(threads)
-    per_n = []
+    batches = []  # per n, its (n, size, stream key) jobs in batch order
     for idx, n in enumerate(n_values):
         per_batch = max(1, BATCH_ELEMENTS // (n * k))
-        jobs = [(batch, min(per_batch, samples - start))
-                for batch, start in enumerate(range(0, samples, per_batch))]
+        batches.append([(n, min(per_batch, samples - start), (idx, batch))
+                        for batch, start in enumerate(range(0, samples, per_batch))])
 
-        def one(job):
-            batch, size = job
-            return hits(rng.child(idx, batch), size, n)
+    def one(job):
+        n, size, key = job
+        return hits(rng.child(*key), size, n)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            count = sum(pool.map(one, jobs))
+    largest_first = sorted((job for jobs in batches for job in jobs),
+                           key=lambda job: job[0] * job[1], reverse=True)
+    with ThreadPoolExecutor(max_workers=worker_count(threads)) as pool:
+        futures = {job: pool.submit(one, job) for job in largest_first}
+    counts = [sum(futures[job].result() for job in jobs) for jobs in batches]
+    per_n = []
+    for n, count in zip(n_values, counts):
         if count == 0:
             raise InfeasibleExperiment(
                 f"zero hits out of {samples} samples at n={n}"
@@ -429,14 +435,19 @@ def run_dickey_check(rng: SeededRng, k: int, m: int, n: int, samples: int,
     if n < m + k:
         raise DomainError("need n >= m + k")
     dof = n - m - k + 1 + dof_offset
-    # whole QR frames: stiefel_corner_batch is the Dickey construction itself
-    corners = stiefel_batch(rng.child(0), k, n, samples)[:, :, :m]
-    dickey = dickey_corner_batch(rng.child(1), k, m, dof, samples)
-    entries = []
-    for i in range(k):
-        for j in range(m):
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        # whole QR frames (stiefel_corner_batch is the Dickey construction
+        # itself), drawn on a worker while this thread draws the corners
+        frames = pool.submit(stiefel_batch, rng.child(0), k, n, samples)
+        dickey = dickey_corner_batch(rng.child(1), k, m, dof, samples)
+        corners = frames.result()
+
+        def entry(cell):
+            i, j = cell
             stat, pval = ks_2samp(corners[:, i, j], dickey[:, i, j])
-            entries.append(EntryTest(i, j, float(stat), float(pval)))
+            return EntryTest(i, j, float(stat), float(pval))
+
+        entries = list(pool.map(entry, [(i, j) for i in range(k) for j in range(m)]))
     return TwoSampleReport(k=k, m=m, n=n, dof=dof, entries=entries)
 
 

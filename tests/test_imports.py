@@ -1,6 +1,7 @@
 """Static rules on how ldplab modules import: no private names across
-modules, no unused imports, one JSON reader and writer, typed raises, and
-no scipy.stats or scipy.interpolate at import time."""
+modules, no unused imports, one JSON reader and writer, typed raises, one
+rule for thread pool sizes, and no scipy.stats or scipy.interpolate at
+import time."""
 
 import ast
 import subprocess
@@ -125,6 +126,27 @@ def test_every_raise_is_typed():
     # main() maps LdpLabError and OSError to exit codes; anything else
     # propagates as a bug, so the package itself raises only its own types
     assert [hit for path in MODULES for hit in _untyped_raises(path)] == []
+
+
+def _pool_sizes(path: Path):
+    """(line, whether the size is ``max_workers=worker_count(...)`` alone)
+    for every ``ThreadPoolExecutor(...)`` call in a module."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) != "ThreadPoolExecutor":
+            continue
+        kw = node.keywords
+        yield node.lineno, (not node.args and len(kw) == 1 and kw[0].arg == "max_workers"
+                            and isinstance(kw[0].value, ast.Call)
+                            and getattr(kw[0].value.func, "id", None) == "worker_count")
+
+
+def test_every_thread_pool_is_sized_by_worker_count():
+    # one rule (a whole number >= 1, or the CPU count) sets every pool size
+    pools = [(path.name, line, ok) for path in MODULES for line, ok in _pool_sizes(path)]
+    assert len(pools) >= 2
+    assert [(name, line) for name, line, ok in pools if not ok] == []
 
 
 # scipy.stats (the KS checks) and scipy.interpolate (the p-Gaussian CF

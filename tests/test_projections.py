@@ -259,6 +259,21 @@ def oracle_levy_prokhorov(mu: EmpiricalMeasure, nu: EmpiricalMeasure, grid: int 
     return hi
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_levy_prokhorov_distances_equal_the_norm_form(k):
+    # coordinate-row sums give the same bits as the sorted axis-1 norms
+    gen = np.random.default_rng(25 + k)
+    clouds = [gen.standard_normal((int(gen.integers(1, 400)), k)) * gen.uniform(0.1, 3.0)
+              for _ in range(50)]
+    clouds += [gen.integers(-q, q + 1, (int(gen.integers(1, 60)), k)) / q
+               for q in (2, 3, 4, 8, 10) for _ in range(10)]
+    for points in clouds:
+        rows = points.T.copy()
+        for c in list(points[:5]) + list(gen.standard_normal((3, k))):
+            assert np.array_equal(projections._sorted_distances(rows, c),
+                                  np.sort(np.linalg.norm(points - c, axis=1)))
+
+
 def test_levy_prokhorov_matches_bisection_random_clouds():
     gen = np.random.default_rng(23)
     for _ in range(64):

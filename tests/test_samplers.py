@@ -92,6 +92,15 @@ def test_stiefel_batch_square_frames_orthonormal(n):
     assert gram_err.max() <= 1e-10
 
 
+def test_stiefel_batch_is_the_sign_fixed_qr_factor():
+    # the in-place sign fix gives the bits of Q diag(sign(diag R)), transposed
+    gen = SeededRng(31).generator()
+    q, r = np.linalg.qr(gen.standard_normal((500, 6, 3)))
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    expected = np.swapaxes(q * signs[:, None, :], 1, 2)
+    assert np.array_equal(stiefel_batch(SeededRng(31).generator(), 3, 6, 500), expected)
+
+
 def test_stiefel_batch_requires_k_le_n():
     with pytest.raises(DomainError):
         stiefel_batch(SeededRng(30).generator(), 3, 2, 4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ldplab.verify as verify
 from ldplab.configurations import PointConfiguration
 from ldplab.densities import log_corner_density
 from ldplab.errors import DomainError, InfeasibleExperiment, NumericalFailure
@@ -29,7 +30,8 @@ def test_worker_count_env_override(monkeypatch):
     # no environment variable overrides an explicit thread count
     monkeypatch.setenv("LDPLAB_THREADS", "3")
     assert worker_count(8) == 8
-    assert worker_count(0) == 1
+    with pytest.raises(DomainError, match="threads must be a whole number >= 1"):
+        worker_count(0)
 
 
 def test_min_rate_over_ball_scalar():
@@ -433,6 +435,45 @@ def test_monte_carlo_independent_of_thread_count():
     a = run_ldp_corner(SeededRng(19), exp, threads=1)
     b = run_ldp_corner(SeededRng(19), exp, threads=4)
     assert a.per_n == b.per_n
+
+
+def test_configuration_independent_of_thread_count(monkeypatch):
+    # small batches, so every n has many and the pool interleaves them
+    monkeypatch.setattr(verify, "BATCH_ELEMENTS", 4000)
+    target = PointConfiguration.empty(1)
+    n_values, samples = [40, 70, 100], 3000
+    reports = [run_ldp_configuration(SeededRng(21), 1, target, 0.3, 0.05, n_values,
+                                     samples, threads=t) for t in (1, 3)]
+    assert reports[0] == reports[1]
+    # batch b at the i-th n is drawn from rng.child(i, b)
+    for i, (n, est) in enumerate(zip(n_values, reports[0].per_n)):
+        per_batch = 4000 // n
+        count = sum(configuration_hit_count(
+            stiefel_batch(SeededRng(21).child(i, b), 1, n, min(per_batch, samples - start)),
+            target.atoms, 0.3, 0.05) for b, start in enumerate(range(0, samples, per_batch)))
+        assert est == (n, math.log(count / samples),
+                       math.sqrt((1.0 - count / samples) / count))
+
+
+def test_dickey_check_independent_of_worker_count(monkeypatch):
+    reports = []
+    for workers in (1, 3):
+        monkeypatch.setattr(verify, "worker_count", lambda threads=None, w=workers: w)
+        reports.append(run_dickey_check(SeededRng(22), 2, 2, 20, 2000))
+    assert reports[0] == reports[1]
+    assert [(e.row, e.col) for e in reports[0].entries] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_zero_hit_refusal_names_the_first_n(monkeypatch):
+    # corners miss the target ball below n = 60 and hit it from there on
+    def corners(gen, k, n, ell, count):
+        return np.full((count, k, ell), 0.9 if n < 60 else 0.2)
+
+    monkeypatch.setattr(verify, "stiefel_corner_batch", corners)
+    exp = LdpExperiment(k=1, ell=1, target=[[0.2]], radius=0.1,
+                        n_values=[20, 40, 60], samples_per_n=4000)
+    with pytest.raises(InfeasibleExperiment, match=r"^zero hits out of 4000 samples at n=20$"):
+        run_ldp_corner(SeededRng(23), exp, threads=2)
 
 
 def test_slope_gap_shrinks_for_larger_windows():

@@ -28,7 +28,14 @@ from ldplab.projections import (
 )
 from ldplab.rates import rate_orthogonal_truncated, rate_truncated
 from ldplab.samplers import SeededRng
-from ldplab.verify import LdpExperiment, run_clt_check, run_dickey_check, run_ldp_configuration
+from ldplab.verify import (
+    LdpExperiment,
+    run_clt_check,
+    run_dickey_check,
+    run_ldp_configuration,
+    run_ldp_corner,
+    worker_count,
+)
 
 COLUMNS = [[0.5, 0.0, 0.1], [0.0, 0.4, 0.1]]
 LIST = ColumnList.from_columns(2, COLUMNS)
@@ -48,9 +55,9 @@ def experiment(k=1, ell=1, n_values=(20, 40)):
                          n_values=n_values, samples_per_n=4000)
 
 
-def configuration(k=1, n_values=(30, 60)):
+def configuration(k=1, n_values=(30, 60), threads=None):
     return run_ldp_configuration(SeededRng(2), k, PointConfiguration.empty(1), 0.5, 0.05,
-                                 n_values, 2000)
+                                 n_values, 2000, threads=threads)
 
 
 def dickey(k=1, m=1, n=10):
@@ -92,6 +99,10 @@ CASES = [
     ("run_dickey_check.n", "n", lambda x: dickey(n=x), 1, 10),
     ("run_clt_check.k", "k", lambda x: clt(k=x), 1, 1),
     ("run_clt_check.n", "n", lambda x: clt(n=x), 1, 50),
+    ("worker_count.threads", "threads", worker_count, 1, 2),
+    ("run_ldp_corner.threads", "threads",
+     lambda x: run_ldp_corner(SeededRng(6), experiment(), threads=x), 1, 2),
+    ("run_ldp_configuration.threads", "threads", lambda x: configuration(threads=x), 1, 2),
 ]
 
 
@@ -102,6 +113,12 @@ def test_whole_number_arguments(name, call, minimum, valid):
         with pytest.raises(DomainError, match=f"^{name} must be a whole number >= {minimum}"):
             call(bad)
     assert pickle.dumps(call(float(valid))) == pickle.dumps(call(valid))
+
+
+def test_threads_refuses_a_string():
+    # int("2") made this two threads before
+    with pytest.raises(DomainError, match="^threads must be a whole number >= 1, got '2'"):
+        worker_count("2")
 
 
 def test_compare_refuses_an_empty_n_list():
