@@ -112,15 +112,6 @@ class PointConfiguration:
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.atoms)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "atoms": [
-                {"point": [float(v) for v in point], "multiplicity": int(mult)}
-                for point, mult in self.atoms
-            ],
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PointConfiguration":
         doc = read_fields(doc, {"dim": 1, "atoms": list}, "configuration")

@@ -3,20 +3,22 @@ k x infinity matrices, row truncations of square matrices, and symmetric
 point configurations.
 
 The common core is I(A) = -1/2 log det(I - A A^T), which is +inf once the
-Gram operator norm reaches 1.  Truncations are certified monotone: appending
-columns or rows can only increase the rate, so a finite truncation is always
-a lower bound and is exact when the support is finite.
+Gram operator norm reaches 1.  Truncations are monotone by construction
+(Schur pivots): appending columns or rows can only increase the rate, so a
+finite truncation is always a lower bound and is exact when the support is
+finite.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .configurations import PointConfiguration
-from .errors import DomainError, NumericalFailure
+from .errors import DomainError
 from .linalg import (
     BOUNDARY_TOL,
     ColumnList,
@@ -29,10 +31,6 @@ from .linalg import (
 
 INF = float("inf")
 
-# Rates may wobble by eigensolver roundoff; a certified "non-decreasing"
-# sequence tolerates this much backsliding before flagging a failure.
-MONOTONE_SLACK = 1e-9
-
 # Gram operator norms in [BOUNDARY_LO, 1 + 1e-10] count as "on the boundary";
 # the rate there is +inf but the report keeps the case distinguishable.
 BOUNDARY_LO = 1.0 - BOUNDARY_TOL
@@ -43,8 +41,9 @@ BOUNDARY_HI = 1.0 + 1e-10
 class TruncationReport:
     """Partial rates along a truncation together with convergence info.
 
-    ``partial_rates`` is non-decreasing; ``tail_bound`` is the sum of squared
-    entries beyond the truncation, a diagnostic with no claimed error bound.
+    ``partial_rates`` is non-decreasing, monotone by construction (Schur
+    pivots); ``tail_bound`` is the sum of squared entries beyond the
+    truncation, a diagnostic with no claimed error bound.
     """
 
     truncation_level: int
@@ -63,18 +62,36 @@ def rate_finite(a) -> float:
     return -0.5 * log_det_complement(gram(a))
 
 
-def _certified_monotone(raw_rates):
-    out = []
-    last = 0.0
-    for r in raw_rates:
-        if r < last - MONOTONE_SLACK:
-            raise NumericalFailure(
-                f"partial rate decreased from {last} to {r}; truncation "
-                "monotonicity violated beyond numerical slack"
-            )
-        last = max(last, r)
-        out.append(last)
-    return out
+def _prefix_rates(x: np.ndarray) -> list:
+    """Partial rates -1/2 log det(I - G_j), j = 1..count, G_j the Gram of
+    the first j columns of the (dim, count) array ``x``.
+
+    Rate j is -1/2 sum_{i<=j} log1p(-q_i), 1 - q_i being the i-th Schur
+    pivot of I - x^T x.  Each q_i >= 0 is formed without cancellation, so the
+    rates never decrease and small ones stay accurate.  Prefix Grams grow in
+    the Loewner order: bisection finds the first level on the boundary by
+    ``log_det_complement``'s rule, and from it on the rates are +inf.
+    """
+    dim, count = x.shape
+    if count <= dim:
+        g = x.T @ x
+        prefix = lambda j: g[:j, :j]
+    else:
+        grams = np.cumsum(x.T[:, :, None] * x.T[:, None, :], axis=0)
+        prefix = lambda j: grams[j - 1]
+    on_boundary = lambda j: log_det_complement(prefix(j)) == -INF
+    finite = (bisect.bisect_left(range(1, count), True, key=on_boundary)
+              if count and on_boundary(count) else count)
+    if count <= dim:
+        # I - G = L L^T gives q_j = g_jj + sum_{l<j} L_jl^2
+        low = np.tril(np.linalg.cholesky(np.eye(finite) - prefix(finite)), -1)
+        q = np.diagonal(g)[:finite] + np.sum(low**2, axis=1)
+    else:
+        # q_j = c_j^T (I - G_{j-1})^{-1} c_j >= 0, each complement being PD
+        before = np.eye(dim) - np.concatenate([np.zeros((1, dim, dim)), grams])[:finite]
+        cols = x.T[:finite, :, None]
+        q = np.sum(cols * np.linalg.solve(before, cols), axis=(1, 2))
+    return np.cumsum(-0.5 * np.log1p(-q)).tolist() + [INF] * (count - finite)
 
 
 def rate_truncated(a: ColumnList, max_level: int | None = None):
@@ -82,33 +99,22 @@ def rate_truncated(a: ColumnList, max_level: int | None = None):
 
     Returns (value, report).  The supremum over column truncations is
     attained at the full column count, so the value is exact whenever
-    ``max_level`` does not cut the support; otherwise it is the certified
-    lower bound at ``max_level`` with the dropped mass in ``tail_bound``.
+    ``max_level`` does not cut the support; otherwise it is the lower bound
+    at ``max_level`` with the dropped mass in ``tail_bound``.
     """
     n_cols = a.count
     levels = n_cols if max_level is None else min(
         whole_number(max_level, "max_level", 1), n_cols)
-    # every prefix Gram matrix at once, as running sums of column outer
-    # products, and one batched eigensolve over the stack
-    cols = a.columns[:, :levels].T
-    grams = np.cumsum(cols[:, :, None] * cols[:, None, :], axis=0)
-    raw = (-0.5 * log_det_complement(grams)).tolist()
-    partial = _certified_monotone(raw)
-
     full_norm = operator_norm(gram(a.columns))
-    boundary = BOUNDARY_LO <= full_norm <= BOUNDARY_HI
     report = TruncationReport(
         truncation_level=levels,
-        partial_rates=partial,
+        partial_rates=_prefix_rates(a.columns[:, :levels]),
         converged=(levels == n_cols),
         tail_bound=float(np.sum(a.columns[:, levels:] ** 2)),
-        boundary=boundary,
+        boundary=BOUNDARY_LO <= full_norm <= BOUNDARY_HI,
     )
-    if full_norm >= BOUNDARY_LO:
-        # the full Gram norm decides the value even when max_level cuts the
-        # reported levels
-        if levels == n_cols and partial:
-            partial[-1] = INF
+    if levels < n_cols and full_norm >= BOUNDARY_LO:
+        # the full Gram norm decides the value when max_level cuts the levels
         return INF, report
     return report.value, report
 
@@ -116,20 +122,14 @@ def rate_truncated(a: ColumnList, max_level: int | None = None):
 def rate_orthogonal_truncated(m, k_max: int) -> TruncationReport:
     """Partial rates of the leading k-row blocks of a square matrix.
 
-    The k-th partial rate is the finite-block rate of the first k rows
-    (all columns); Cauchy interlacing makes the sequence non-decreasing.
+    The k-th partial rate is the finite-block rate of the first k rows.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DomainError("matrix must be square")
     n = m.shape[0]
     levels = min(whole_number(k_max, "k_max", 1), n)
-    # the Gram matrix of the first k rows is the leading k x k block of one
-    # Gram matrix
-    g = m[:levels] @ m[:levels].T
-    partial = _certified_monotone(
-        [-0.5 * log_det_complement(g[:k, :k]) for k in range(1, levels + 1)]
-    )
+    partial = _prefix_rates(m[:levels].T)
     return TruncationReport(
         truncation_level=levels,
         partial_rates=partial,
@@ -137,7 +137,7 @@ def rate_orthogonal_truncated(m, k_max: int) -> TruncationReport:
         tail_bound=float(np.sum(m[levels:, :] ** 2)),
         boundary=bool(
             partial and math.isinf(partial[-1])
-            and BOUNDARY_LO <= operator_norm(g) <= BOUNDARY_HI
+            and BOUNDARY_LO <= operator_norm(gram(m[:levels])) <= BOUNDARY_HI
         ),
     )
 

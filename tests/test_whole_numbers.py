@@ -50,9 +50,9 @@ def compare(n=20, count=1000, grid=2, n_list=None):
     return compare_ball_vs_product(SeededRng(5), 1, 2.0, n_list or [n], count, grid=grid)
 
 
-def experiment(k=1, ell=1, n_values=(20, 40)):
+def experiment(k=1, ell=1, n_values=(20, 40), method="montecarlo"):
     return LdpExperiment(k=k, ell=ell, target=np.full((1, 1), 0.2), radius=0.1,
-                         n_values=n_values, samples_per_n=4000)
+                         n_values=n_values, samples_per_n=4000, method=method)
 
 
 def configuration(k=1, n_values=(30, 60), threads=None):
@@ -102,6 +102,9 @@ CASES = [
     ("worker_count.threads", "threads", worker_count, 1, 2),
     ("run_ldp_corner.threads", "threads",
      lambda x: run_ldp_corner(SeededRng(6), experiment(), threads=x), 1, 2),
+    ("run_ldp_corner.quadrature.threads", "threads",
+     lambda x: run_ldp_corner(SeededRng(6), experiment(method="quadrature"), threads=x),
+     1, 2),
     ("run_ldp_configuration.threads", "threads", lambda x: configuration(threads=x), 1, 2),
 ]
 

@@ -93,6 +93,8 @@ ROWS = {
                                "--count", "4", "--seed", "7", "--out", "s.csv"),
     "rate_matrix": cmd("rate", "--matrix", "[[0.5, 0.1], [0.0, 0.3]]"),
     "rate_boundary": cmd("rate", "--matrix", "[[1.0]]"),
+    "rate_boundary_long_list": cmd("rate", "--matrix", "[[0.6, 0, 0.8], [0, 0.6, 0]]"),
+    "rate_boundary_short_list": cmd("rate", "--matrix", "[[0.6, 0], [0, 1], [0, 0]]"),
     "rate_csv": rate_csv({"row_shape": [2, 2]}, row="1"),
     "rate_json": (["rate", "--json", "m.json"], {"m.json": [[0.2, 0.1]]}),
     "density_sigma2_inf": cmd("density", "--which", "sigma2", "--p", "inf"),
