@@ -10,8 +10,6 @@ reordering atoms.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,20 +17,9 @@ import numpy as np
 from scipy.optimize import least_squares  # noqa: F401
 
 from .errors import DimensionMismatch, DomainError, RecoveryFailure
-from .linalg import (ColumnList, as_matrix, finite_array, signed_permutation_equal,
-                     whole_number)
+from .linalg import (ColumnList, as_matrix, finite_array, real_number,
+                     signed_permutation_equal, whole_number)
 from .projections import EmpiricalMeasure, ProjectedLaw, law_variance, sample_projected_law
-
-
-def finite_real(value, name: str) -> float:
-    """``value`` as a float; :class:`DomainError` unless a finite real (not a bool)."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            if math.isfinite(float(value)):
-                return float(value)
-        except OverflowError:  # an int beyond the float range
-            pass
-    raise DomainError(f"{name} must be a finite real number, got {value!r}")
 
 
 def read_fields(doc, kinds: dict, what: str, defaults=None) -> dict:
@@ -49,7 +36,7 @@ def read_fields(doc, kinds: dict, what: str, defaults=None) -> dict:
             raise DomainError(f"{what} lacks the field {name!r}")
         value = fields[name]
         if kind is float:
-            fields[name] = finite_real(value, name)
+            fields[name] = real_number(value, name, finite=True)
         elif type(kind) is int:
             fields[name] = whole_number(value, name, kind)
         elif not isinstance(value, kind):
@@ -123,20 +110,14 @@ class PointConfiguration:
 def config_from_stiefel(v, drop_tol: float = 0.0) -> PointConfiguration:
     """Configuration of +-column pairs of a k x n matrix.
 
-    Columns of norm zero, or below ``drop_tol``, are dropped; exactly equal
-    columns (after canonical re-signing) fold into one atom with
-    multiplicity.
+    Zero columns, and columns of norm below ``drop_tol`` (>= 0), are dropped;
+    exactly equal columns (after canonical re-signing) fold into one atom
+    with multiplicity.
     """
     v = as_matrix(v)
-    k = v.shape[0]
-    atoms = []
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        norm = np.linalg.norm(col)
-        if norm == 0.0 or norm < drop_tol:
-            continue
-        atoms.append((col, 1))
-    return PointConfiguration.from_atoms(k, atoms)
+    drop_tol = real_number(drop_tol, "drop_tol", 0)
+    atoms = [(col, 1) for col in v.T if col.any() and np.linalg.norm(col) >= drop_tol]
+    return PointConfiguration.from_atoms(v.shape[0], atoms)
 
 
 def config_to_matrix(mu: PointConfiguration) -> ColumnList:
@@ -158,6 +139,7 @@ def psi(mu, law, sigma, rng, count) -> EmpiricalMeasure:
     of the configuration's Gram matrix.  Delegates to
     :func:`ldplab.projections.sample_projected_law`.
     """
+    sigma = real_number(sigma, "sigma", 0, strict=True, finite=True)
     var = law_variance(law)
     if abs(sigma**2 - var) > 1e-9 * max(1.0, var):
         raise DomainError(
@@ -173,12 +155,10 @@ def power_sums(alpha, k_min: int, k_max: int) -> np.ndarray:
     """(sum_i alpha_i^k) for k = k_min .. k_max (inclusive)."""
     k_min = whole_number(k_min, "k_min", 3)
     k_max = whole_number(k_max, "k_max", k_min)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.size and np.min(alpha) < 0:
+    alpha = finite_array(alpha, "alpha")
+    if np.any(alpha < 0):
         raise DomainError("entries must be non-negative")
     ks = np.arange(k_min, k_max + 1)
-    if alpha.size == 0:
-        return np.zeros(ks.size)
     return np.sum(alpha[None, :] ** ks[:, None], axis=1)
 
 
@@ -203,6 +183,7 @@ def recover_from_power_sums(sums, count_bound: int, tol: float) -> list:
     entries) is within ``REL_FLOOR`` plus the tail allowance is accepted.
     """
     count_bound = whole_number(count_bound, "count_bound", 1)
+    tol = real_number(tol, "tol", 0)
     s = finite_array(sums, "power sums")
     if s.ndim != 1 or s.size < 4:
         raise DomainError("need a 1-d list of sums for k = 3..K")
@@ -267,8 +248,7 @@ def identify_equivalent(p: ColumnList, q: ColumnList, k_max: int, tol: float) ->
     if p.dim != q.dim:
         raise DimensionMismatch("column lists live in different dimensions")
     k_max = whole_number(k_max, "k_max", 3)
-    if not tol >= 0.0:
-        raise DomainError(f"tol must be >= 0, got {tol}")
+    tol = real_number(tol, "tol", 0)
     if p.count != q.count:
         return False
     if p.count:

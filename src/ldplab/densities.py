@@ -16,7 +16,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .linalg import as_matrix, gram, log_det_complement, sym_eigenvalues, whole_number
+from .linalg import (as_matrix, gram, log_det_complement, real_number, sym_eigenvalues,
+                     whole_number)
 
 NEG_INF = float("-inf")
 
@@ -24,8 +25,7 @@ NEG_INF = float("-inf")
 def log_multivariate_gamma(k: int, x: float) -> float:
     """log Gamma_k(x) = (k(k-1)/4) log pi + sum_i log Gamma(x - (i-1)/2)."""
     k = whole_number(k, "k", 1)
-    if not x > (k - 1) / 2:
-        raise DomainError(f"need x > (k-1)/2 = {(k - 1) / 2}, got {x}")
+    x = real_number(x, "x", (k - 1) / 2, strict=True)
     shifts = np.arange(k) / 2.0
     return float(k * (k - 1) / 4.0 * math.log(math.pi) + np.sum(gammaln(x - shifts)))
 
@@ -54,6 +54,7 @@ def log_corner_density(a, k: int, ell: int, n: int) -> float:
     Equals the inverted-t density with n - ell - k + 1 degrees of freedom.
     """
     a = as_matrix(a)
+    k, ell, n = whole_number(k, "k", 1), whole_number(ell, "ell", 1), whole_number(n, "n", 1)
     if a.shape != (k, ell):
         raise DomainError(f"matrix shape {a.shape} does not match (k, ell)")
     if n < ell + k:
@@ -88,10 +89,7 @@ def log_p_gaussian_density(x: float, p: float) -> float:
     """log f_p(x) with f_p(x) = exp(-|x|^p / p) / (2 p^(1/p) Gamma(1 + 1/p))
     for 1 <= p < inf; p = inf is the Uniform[-1, 1] limit, log 1/2 on
     [-1, 1] and -inf outside.  Refuses p < 1 and NaN x."""
-    if not p >= 1:
-        raise DomainError("p must be >= 1")
-    if math.isnan(x):
-        raise DomainError("x must not be NaN")
+    p, x = real_number(p, "p", 1), real_number(x, "x")
     if math.isinf(p):
         return -math.log(2.0) if abs(x) <= 1.0 else NEG_INF
     return -abs(x) ** p / p - math.log(2.0) - math.log(p) / p - math.lgamma(1.0 + 1.0 / p)
@@ -102,10 +100,7 @@ def log_pth_power_density(x: float, p: float) -> float:
     on x > 0, with gamma_p = 1 / (p^(1/p) Gamma(1/p)), and -inf at x <= 0
     and x = inf.  Refuses p < 1, p = inf, where |Z|^p degenerates to 0 and
     has no density, and NaN x."""
-    if not 1 <= p < math.inf:
-        raise DomainError("p must be >= 1 and finite")
-    if math.isnan(x):
-        raise DomainError("x must not be NaN")
+    p, x = real_number(p, "p", 1, finite=True), real_number(x, "x")
     if not 0.0 < x < math.inf:
         return NEG_INF
     log_gamma_p = -math.log(p) / p - math.lgamma(1.0 / p)
@@ -117,8 +112,7 @@ def sigma_p_squared(p: float) -> float:
 
     p = inf is the Uniform[-1, 1] case with variance 1/3.
     """
-    if not p >= 1:
-        raise DomainError("p must be >= 1")
+    p = real_number(p, "p", 1)
     if math.isinf(p):
         return 1.0 / 3.0
     return float(p ** (2.0 / p) * math.exp(math.lgamma(3.0 / p) - math.lgamma(1.0 / p)))

@@ -51,6 +51,30 @@ def whole_number(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+def real_number(value, name: str, low: float = -math.inf, *, strict: bool = False,
+                finite: bool = False) -> float:
+    """``value`` as a float; :class:`DomainError` unless it is a real number
+    (not a bool or NaN) >= ``low``, or > ``low`` when ``strict``, and finite
+    when ``finite``.  Every radius, exponent, variance and tolerance the
+    package takes goes through this rule."""
+    number = value
+    if type(value) is not float:  # a plain float is read as it is
+        number = None
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:  # an int beyond the float range
+                number = math.inf if value > 0 else -math.inf
+    if number is not None and (number > low if strict else number >= low) and not (
+            finite and math.isinf(number)):
+        return number
+    bound = f"{'>' if strict else '>='} {low}" if low > -math.inf else ""
+    rule = ("finite and " if finite else "") + bound if bound else (
+        f"a {'finite ' if finite else ''}real number")
+    got = "NaN" if isinstance(number, float) and math.isnan(number) else f"{value!r:.80}"
+    raise DomainError(f"{name} must be {rule}, got {got}")
+
+
 def increasing_n_values(values, name: str) -> list:
     """``values`` as ints; :class:`DomainError` unless it is a sequence (a
     list, tuple or 1-d array), each entry is a whole number >= 1 and the
@@ -160,8 +184,8 @@ class ColumnList:
     """Finite list of nonzero columns in R^k standing for a k x infinity
     matrix padded with zero columns.
 
-    ``columns`` has shape (dim, count).  Zero columns are dropped by the
-    factory; each kept column has Euclidean norm in (0, sqrt(dim)].
+    ``columns`` has shape (dim, count).  The factory drops the columns whose
+    entries are all zero; each kept column has Euclidean norm <= sqrt(dim).
     """
 
     dim: int
@@ -181,8 +205,7 @@ class ColumnList:
             raise DimensionMismatch(f"columns of shape {cols.shape}, expected R^{dim}")
         if cols.shape[0] != dim:
             raise DimensionMismatch(f"columns live in R^{cols.shape[0]}, expected R^{dim}")
-        norms = np.linalg.norm(cols, axis=0)
-        cols = cols[:, norms > 0.0]
+        cols = cols[:, cols.any(axis=0)]
         if cols.size and np.max(np.linalg.norm(cols, axis=0)) > np.sqrt(dim) + 1e-9:
             raise DomainError("column norm exceeds sqrt(dim)")
         return cls(dim=dim, columns=cols)
@@ -203,8 +226,7 @@ def signed_permutation_equal(p: ColumnList, q: ColumnList, tol: float) -> bool:
     """
     if p.dim != q.dim:
         raise DimensionMismatch("column lists live in different dimensions")
-    if not tol >= 0.0:
-        raise DomainError(f"tol must be >= 0, got {tol}")
+    tol = real_number(tol, "tol", 0)
     if p.count != q.count:
         return False
     a = p.columns.T[:, None, :]

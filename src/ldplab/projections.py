@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from .densities import sigma_p_squared
 from .errors import DimensionMismatch, DomainError, NumericalFailure, UnsupportedLaw
 from .linalg import (ColumnList, as_matrix, finite_array, gram, increasing_n_values,
-                     psd_sqrt, whole_number)
+                     psd_sqrt, real_number, whole_number)
 from .samplers import (
     PGaussianParams,
     SeededRng,
@@ -176,8 +176,8 @@ class ProjectedLaw:
     root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.noise_variance < math.inf:
-            raise DomainError("noise_variance must be finite and > 0")
+        object.__setattr__(self, "noise_variance", real_number(
+            self.noise_variance, "noise_variance", 0, strict=True, finite=True))
         complement = np.eye(self.a.dim) - gram(self.a.columns)
         try:
             root = psd_sqrt(complement)

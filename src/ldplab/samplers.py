@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import whole_number
+from .linalg import real_number, whole_number
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ class PGaussianParams:
     p: float
 
     def __post_init__(self):
-        if not self.p >= 1:
-            raise DomainError("p must be >= 1")
+        object.__setattr__(self, "p", real_number(self.p, "p", 1))
 
 
 def gaussian_matrix(rng: SeededRng, k: int, n: int) -> np.ndarray:
@@ -130,8 +129,7 @@ def p_gaussian_batch(gen: np.random.Generator, p: float, shape) -> np.ndarray:
     p = inf yields Uniform[-1, 1].  Needs p >= 1 and every extent of
     ``shape`` (an int or a sequence) a whole number >= 1.
     """
-    if not p >= 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    p = real_number(p, "p", 1)
     shape = tuple(whole_number(extent, "each extent of shape", 1)
                   for extent in (shape if np.iterable(shape) else (shape,)))
     if math.isinf(p):
@@ -164,13 +162,9 @@ def lp_ball_batch(
     times the unit lp ball, 1 <= p <= inf; ``radius_scale=None`` means
     n^(1/p), the scaling of the projection results.  The l-inf ball is the
     cube: ``radius_scale`` times i.i.d. Uniform[-1, 1], with no radial draw."""
-    n = whole_number(n, "n", 1)
-    if not p >= 1:
-        raise DomainError(f"p must be in [1, inf], got {p}")
-    if radius_scale is None:
-        radius_scale = n ** (1.0 / p)
-    elif not 0 < radius_scale < math.inf:
-        raise DomainError(f"radius_scale must be finite and > 0, got {radius_scale}")
+    n, p = whole_number(n, "n", 1), real_number(p, "p", 1)
+    radius_scale = n ** (1.0 / p) if radius_scale is None else real_number(
+        radius_scale, "radius_scale", 0, strict=True, finite=True)
     count = whole_number(count, "count", 1)
     z = p_gaussian_batch(gen, p, (count, n))
     if math.isinf(p):

@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 from .configurations import PointConfiguration
 from .densities import log_corner_density, sigma_p_squared
 from .errors import DomainError, InfeasibleExperiment, NumericalFailure
-from .linalg import as_matrix, increasing_n_values, whole_number
+from .linalg import as_matrix, increasing_n_values, real_number, whole_number
 from .projections import project_lp_ball_batch
 from .rates import rate_configuration, rate_finite
 from .samplers import (
@@ -40,6 +40,14 @@ def worker_count(threads=None) -> int:
     if threads is not None:
         return whole_number(threads, "threads", 1)
     return max(1, os.cpu_count() or 1)
+
+
+def _slope_n_values(values) -> list:
+    """``n_values`` of a slope experiment: at least two, refused before any draw."""
+    values = increasing_n_values(values, "n_values")
+    if len(values) < 2:
+        raise DomainError(f"n_values must hold at least two n to fit a slope, got {values}")
+    return values
 
 
 def json_float(x):
@@ -84,9 +92,8 @@ class LdpExperiment:
         self.target = as_matrix(self.target, "target entries")
         if self.target.shape != (self.k, self.ell):
             raise DomainError("target shape must be (k, ell)")
-        if not 0 < self.radius < math.inf:
-            raise DomainError(f"radius must be finite and > 0, got {self.radius}")
-        self.n_values = increasing_n_values(self.n_values, "n_values")
+        self.radius = real_number(self.radius, "radius", 0, strict=True, finite=True)
+        self.n_values = _slope_n_values(self.n_values)
         if self.method not in ("montecarlo", "quadrature"):
             raise DomainError("method must be 'montecarlo' or 'quadrature'")
         if self.method == "quadrature" and (self.k != 1 or self.ell != 1):
@@ -156,8 +163,9 @@ def min_rate_over_ball(target, radius: float) -> float:
     Any block within Frobenius distance r of the target has singular values
     within l2 distance r of the target's singular values s, and conversely,
     so the minimum is that of sum_i -1/2 log(1 - x_i^2) over x >= 0 with
-    ||x - s|| <= r.  It is 0 when ||s|| <= r, and +inf when ||(s - 1)_+||
-    >= r, since then every block of the ball has operator norm >= 1.  A
+    ||x - s|| <= r.  At r = 0 it is the rate at the target; for r > 0 it is
+    0 when ||s|| <= r, and +inf when ||(s - 1)_+|| >= r, since then every
+    block of the ball has operator norm >= 1.  A
     target of rank <= 1 (every 1 x 1, 1 x l and k x 1 target) has the
     closed form rate([[s_1 - r]]).
 
@@ -172,6 +180,9 @@ def min_rate_over_ball(target, radius: float) -> float:
     ||(s - 1)_+||) / sqrt(len(s)), the distance is <= r.  Both ends are
     widened by a factor 2 to keep their signs clear of roundoff.
     """
+    radius = real_number(radius, "radius", 0)
+    if radius == 0.0:  # the ball is the target itself
+        return rate_finite(target)
     s = np.linalg.svd(as_matrix(target), compute_uv=False)
     if np.linalg.norm(s) <= radius:
         return 0.0
@@ -216,8 +227,6 @@ def _slope_report(per_n, rate_ref: float) -> SlopeReport:
     """Weighted least-squares slope of -log P against n, compared with the
     reference rate."""
     ns, ys, ses = np.array(per_n, dtype=np.float64).T
-    if ns.size < 2:
-        raise DomainError("need at least two n values to fit a slope")
     weights = 1.0 / ses**2 if np.all(ses > 0) else np.ones_like(ns)
     w_sum = np.sum(weights)
     n_bar = np.sum(weights * ns) / w_sum
@@ -371,12 +380,12 @@ def run_ldp_configuration(
     k = whole_number(k, "k", 1)
     if target.dim != k:
         raise DomainError("target dimension does not match k")
-    n_values = increasing_n_values(n_values, "n_values")
+    n_values = _slope_n_values(n_values)
     if n_values[0] < k:
         raise DomainError(f"a k x n frame needs n >= k = {k}, got n = {n_values[0]}")
     samples_per_n = whole_number(samples_per_n, "samples_per_n", 1)
-    if not (0 < r < math.inf and 0 < rho < math.inf):
-        raise DomainError(f"r and rho must be finite and > 0, got r = {r}, rho = {rho}")
+    r = real_number(r, "r", 0, strict=True, finite=True)
+    rho = real_number(rho, "rho", 0, strict=True, finite=True)
     _check_atom_balls(target.atoms, r, rho)
 
     rate_ref = rate_configuration(target)

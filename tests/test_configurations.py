@@ -8,7 +8,6 @@ from ldplab.configurations import (
     PointConfiguration,
     config_from_stiefel,
     config_to_matrix,
-    finite_real,
     identify_equivalent,
     power_sums,
     psi,
@@ -18,7 +17,8 @@ from ldplab.configurations import (
 )
 from ldplab.densities import sigma_p_squared
 from ldplab.errors import DimensionMismatch, DomainError, RecoveryFailure
-from ldplab.linalg import ColumnList, gram, operator_norm, signed_permutation_equal
+from ldplab.linalg import (ColumnList, gram, operator_norm, real_number,
+                           signed_permutation_equal)
 from ldplab.projections import empirical_cf, project_product
 from ldplab.samplers import PGaussianParams, SeededRng, haar_stiefel
 
@@ -380,7 +380,7 @@ def test_identify_refuses_bad_tol(tol):
                          ids=["bool", "string", "null", "list", "nan", "inf", "huge_int"])
 def test_finite_real_refuses(value):
     with pytest.raises(DomainError, match="x must be a finite real number"):
-        finite_real(value, "x")
+        real_number(value, "x", finite=True)
 
 
 # a float32 compared with the float64 maximum warned of an overflow in cast
@@ -388,7 +388,7 @@ def test_finite_real_refuses(value):
 def test_finite_real_accepts():
     for value, expected in ((0.5, 0.5), (2, 2.0), (np.float64(0.25), 0.25), (-1e300, -1e300),
                             (np.float32(0.25), 0.25)):
-        got = finite_real(value, "x")
+        got = real_number(value, "x", finite=True)
         assert got == expected and type(got) is float
 
 
@@ -430,3 +430,16 @@ def test_config_json_names_malformed_atoms():
     # a point of the wrong length used to raise numpy's reshape ValueError
     with pytest.raises(DimensionMismatch, match="does not lie in R\\^1"):
         PointConfiguration.from_atoms(1, [([0.4, 0.1], 1)])
+
+
+def test_config_keeps_nonzero_columns_whose_norm_underflows():
+    v = np.array([[1e-200, 0.0, 0.5], [0.0, 0.0, 0.0]])
+    assert config_from_stiefel(v).total_multiplicity == 2
+
+
+@pytest.mark.parametrize("alpha", [[math.nan], [math.inf], [0.5, -math.inf], ["0.5"]],
+                         ids=["nan", "inf", "minus_inf", "string"])
+def test_power_sums_refuses_non_finite_alpha(alpha):
+    # NaN and inf entries gave NaN and inf sums
+    with pytest.raises(DomainError, match="alpha must be finite real numbers"):
+        power_sums(alpha, 3, 5)

@@ -320,3 +320,11 @@ def test_column_list_refusals_are_typed():
     with pytest.raises(DimensionMismatch, match="expected R\\^2"):
         ColumnList.from_columns(2, 0.5)
     assert ColumnList.from_columns(2, []).columns.shape == (2, 0)
+
+
+def test_column_list_keeps_nonzero_columns_whose_norm_underflows():
+    # the Euclidean norm of a column of 1e-200 entries underflows to 0, and a
+    # norm test dropped all three columns
+    tiny = ColumnList.from_columns(2, [[1e-200, 0.0, 0.0, 0.0], [0.0, 1e-200, 1e-200, -0.0]])
+    assert tiny.count == 3
+    assert tiny.columns.tolist() == [[1e-200, 0.0, 0.0], [0.0, 1e-200, 1e-200]]

@@ -521,3 +521,20 @@ def test_json_doc_walks_records_and_guards_floats():
                                 entries=[EntryTest(0, 0, math.nan, 0.5)])):
         with pytest.raises(NumericalFailure):
             json_doc(bad)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_ldp_corner(SeededRng(1), LdpExperiment(
+        k=1, ell=1, target=[[0.2]], radius=0.1, n_values=[200], samples_per_n=10**6)),
+    lambda: run_ldp_configuration(SeededRng(1), 1, PointConfiguration.empty(1), 0.5, 0.05,
+                                  [100], 10**6),
+], ids=["corner", "configuration"])
+def test_one_n_is_refused_before_any_draw(monkeypatch, run):
+    # the slope fit refused a single n only after every sample was drawn
+    def no_draws(*_args, **_kwargs):
+        raise AssertionError("a sampler was called")
+
+    for sampler in ("stiefel_batch", "stiefel_corner_batch", "dickey_corner_batch"):
+        monkeypatch.setattr(verify, sampler, no_draws)
+    with pytest.raises(DomainError, match="n_values must hold at least two n"):
+        run()

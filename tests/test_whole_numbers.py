@@ -14,7 +14,7 @@ from ldplab.configurations import (
     power_sums,
     recover_from_power_sums,
 )
-from ldplab.densities import log_multivariate_gamma
+from ldplab.densities import log_corner_density, log_multivariate_gamma
 from ldplab.errors import DomainError
 from ldplab.linalg import ColumnList
 from ldplab.projections import (
@@ -81,6 +81,9 @@ CASES = [
     ("compare.grid", "grid", lambda x: compare(grid=x), 2, 2),
     ("levy_prokhorov.grid", "grid", lambda x: levy_prokhorov(*CLOUDS, grid=x), 2, 3),
     ("log_multivariate_gamma.k", "k", lambda x: log_multivariate_gamma(x, 3.0), 1, 2),
+    ("log_corner_density.k", "k", lambda x: log_corner_density([[0.1]], x, 1, 4), 1, 1),
+    ("log_corner_density.ell", "ell", lambda x: log_corner_density([[0.1]], 1, x, 4), 1, 1),
+    ("log_corner_density.n", "n", lambda x: log_corner_density([[0.1]], 1, 1, x), 1, 4),
     ("rate_truncated.max_level", "max_level",
      lambda x: rate_truncated(LIST, max_level=x), 1, 2),
     ("rate_orthogonal_truncated.k_max", "k_max",

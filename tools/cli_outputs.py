@@ -181,6 +181,14 @@ ROWS = {
     "sample_stream_negative": cmd("sample", "--dist", "stiefel", "--k", "1", "--n", "2",
                                   "--count", "1", "--seed", "1", "--stream", "-1",
                                   "--out", "s.csv"),
+    # real arguments outside their range, and a slope with one n
+    "density_pgaussian_x_nan": cmd("density", "--which", "pgaussian", "--p", "1",
+                                   "--x", "nan"),
+    "density_sigma2_p_half": cmd("density", "--which", "sigma2", "--p", "0.5"),
+    "sample_lpball_scale_0": cmd("sample", "--dist", "lpball", "--p", "2", "--n", "3",
+                                 "--scale", "0", "--count", "2", "--seed", "7",
+                                 "--out", "s.csv"),
+    "config_one_n": verify(edit(CORNER, n_values=[20])),
     # argparse wording for a bad --p
     "sample_p_word": cmd("sample", "--dist", "pgaussian", "--p", "abc",
                          "--count", "1", "--seed", "1"),
