@@ -19,7 +19,7 @@ from scipy.optimize import least_squares  # noqa: F401
 from .errors import DimensionMismatch, DomainError, RecoveryFailure
 from .linalg import (ColumnList, as_matrix, finite_array, real_number,
                      signed_permutation_equal, whole_number)
-from .projections import EmpiricalMeasure, ProjectedLaw, law_variance, sample_projected_law
+from .projections import ProjectedLaw, product_law_record
 
 
 def read_fields(doc, kinds: dict, what: str, defaults=None) -> dict:
@@ -132,23 +132,13 @@ def config_to_matrix(mu: PointConfiguration) -> ColumnList:
     return ColumnList.from_columns(mu.dim, np.column_stack(cols))
 
 
-def psi(mu, law, sigma, rng, count) -> EmpiricalMeasure:
-    """Samples from the projected law attached to a configuration.
-
-    The map fixes sigma^2 = Var(Y); the Gaussian part fills the complement
-    of the configuration's Gram matrix.  Delegates to
+def psi(mu, law) -> ProjectedLaw:
+    """Psi(mu): the law of sum_j C_j Y_j + sigma (I - A A^T)^(1/2) N_k for
+    the column matrix A of ``mu``, i.i.d. Y_j from the product law ``law``
+    and sigma^2 = Var(Y).  Draws nothing; sample it with
     :func:`ldplab.projections.sample_projected_law`.
     """
-    sigma = real_number(sigma, "sigma", 0, strict=True, finite=True)
-    var = law_variance(law)
-    if abs(sigma**2 - var) > 1e-9 * max(1.0, var):
-        raise DomainError(
-            f"sigma^2 = {sigma ** 2} must equal the product-law variance {var}"
-        )
-    projected = ProjectedLaw(
-        a=config_to_matrix(mu), noise_variance=sigma**2, product_law=law
-    )
-    return sample_projected_law(rng, projected, count)
+    return ProjectedLaw(config_to_matrix(mu), product_law_record(law).variance, law)
 
 
 def power_sums(alpha, k_min: int, k_max: int) -> np.ndarray:

@@ -16,8 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .linalg import (as_matrix, gram, log_det_complement, real_number, sym_eigenvalues,
-                     whole_number)
+from .linalg import as_matrix, corner_dof, gram, log_det_complement, real_number, whole_number
 
 NEG_INF = float("-inf")
 
@@ -36,6 +35,7 @@ def log_inverted_t_density(a, n_dof: int) -> float:
     ||A A^T|| < 1.
     """
     a = as_matrix(a)
+    n_dof = whole_number(n_dof, "n_dof", 1)
     k, m = a.shape
     log_comp = log_det_complement(gram(a))
     if log_comp == NEG_INF:
@@ -54,25 +54,25 @@ def log_corner_density(a, k: int, ell: int, n: int) -> float:
     Equals the inverted-t density with n - ell - k + 1 degrees of freedom.
     """
     a = as_matrix(a)
-    k, ell, n = whole_number(k, "k", 1), whole_number(ell, "ell", 1), whole_number(n, "n", 1)
+    k, ell, n_dof = corner_dof(k, ell, n)
     if a.shape != (k, ell):
         raise DomainError(f"matrix shape {a.shape} does not match (k, ell)")
-    if n < ell + k:
-        raise DomainError("need n >= ell + k")
-    return log_inverted_t_density(a, n - ell - k + 1)
+    return log_inverted_t_density(a, n_dof)
 
 
 def log_wishart_density(s, k: int, n: int) -> float:
     """Log density of the identity-scale Wishart law at the symmetric k x k
     matrix ``s``; -inf when ``s`` is not positive definite."""
     s = as_matrix(s)
+    k, n = whole_number(k, "k", 1), whole_number(n, "n", 1)
     if s.shape != (k, k):
         raise DomainError(f"expected a {k} x {k} matrix, got shape {s.shape}")
     if k > n:
         raise DomainError(f"k must be <= n, got k = {k}, n = {n}")
     if np.max(np.abs(s - s.T)) > 1e-12 * max(1.0, float(np.max(np.abs(s)))):
         raise DomainError("matrix is not symmetric")
-    lam = sym_eigenvalues(s)
+    # the plain spectrum, non-increasing: sym_eigenvalues refuses what is not PSD
+    lam = np.linalg.eigvalsh(s)[::-1]
     if lam[-1] <= 0.0:
         return NEG_INF
     log_det = float(np.sum(np.log(lam)))

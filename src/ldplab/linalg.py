@@ -51,6 +51,16 @@ def whole_number(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+def corner_dof(k, ell, n) -> tuple:
+    """(k, ell, N) with N = n - ell - k + 1, the degrees of freedom of the
+    k x ell corner of a Haar k x n frame; k, ell and n read through
+    :func:`whole_number`, and n < ell + k raises :class:`DomainError`."""
+    k, ell, n = whole_number(k, "k", 1), whole_number(ell, "ell", 1), whole_number(n, "n", 1)
+    if n < ell + k:
+        raise DomainError(f"need n >= ell + k = {ell + k}, got n = {n}")
+    return k, ell, n - ell - k + 1
+
+
 def real_number(value, name: str, low: float = -math.inf, *, strict: bool = False,
                 finite: bool = False) -> float:
     """``value`` as a float; :class:`DomainError` unless it is a real number

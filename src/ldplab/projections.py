@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,36 +55,14 @@ class RademacherLaw:
 
 @dataclass(frozen=True)
 class CustomLaw:
-    """User-supplied symmetric i.i.d. law.
-
-    ``sampler(gen, shape)`` must return draws of the given shape; the
-    characteristic function is optional and only needed by
-    :func:`characteristic_function`.
-    """
+    """Symmetric i.i.d. product law as a record: ``sampler(gen, shape)``
+    returns draws of the given shape, and the characteristic function is
+    optional, only needed by :func:`characteristic_function`.  Every product
+    law is read as such a record (:func:`product_law_record`)."""
 
     sampler: Callable
     variance: float
     char_fn: Optional[Callable] = None
-
-
-def law_variance(law) -> float:
-    if isinstance(law, PGaussianParams):
-        return sigma_p_squared(law.p)
-    if isinstance(law, RademacherLaw):
-        return 1.0
-    if isinstance(law, CustomLaw):
-        return float(law.variance)
-    raise UnsupportedLaw(f"unknown product law {law!r}")
-
-
-def law_draws(gen: np.random.Generator, law, shape) -> np.ndarray:
-    if isinstance(law, PGaussianParams):
-        return p_gaussian_batch(gen, law.p, shape)
-    if isinstance(law, RademacherLaw):
-        return gen.integers(0, 2, size=shape) * 2.0 - 1.0
-    if isinstance(law, CustomLaw):
-        return np.asarray(law.sampler(gen, shape), dtype=np.float64)
-    raise UnsupportedLaw(f"unknown product law {law!r}")
 
 
 # cached grid interpolants of the scalar p-Gaussian characteristic function
@@ -135,24 +114,42 @@ class _PGaussianCF:
         return self.spline(s)
 
 
-def law_char_fn(law) -> Callable:
-    """Scalar characteristic function of a product law, vectorized over s."""
+def _closed_form_cf(p: float, s) -> np.ndarray:
+    s = np.asarray(s, dtype=np.float64)
+    if math.isinf(p):
+        return np.sinc(s / np.pi)
+    return np.exp(-s ** 2 / 2.0) if p == 2.0 else 1.0 / (1.0 + s ** 2)
+
+
+def _p_gaussian_cf(p: float) -> Callable:
+    """Scalar characteristic function of the p-Gaussian law, vectorized over s."""
+    if p in (1.0, 2.0, math.inf):
+        return partial(_closed_form_cf, p)
+    if p not in _PGAUSS_CF_CACHE:
+        _PGAUSS_CF_CACHE[p] = _PGaussianCF(p)
+    return _PGAUSS_CF_CACHE[p]
+
+
+def _p_gaussian_draws(p: float, gen: np.random.Generator, shape) -> np.ndarray:
+    # p_gaussian_batch is looked up at each draw, not when the record is built
+    return p_gaussian_batch(gen, p, shape)
+
+
+def _signs(gen: np.random.Generator, shape) -> np.ndarray:
+    return gen.integers(0, 2, size=shape) * 2.0 - 1.0
+
+
+def product_law_record(law) -> CustomLaw:
+    """The one reader of product laws: the :class:`CustomLaw` record of a law,
+    a CustomLaw being its own; any other object raises UnsupportedLaw."""
     if isinstance(law, PGaussianParams):
-        p = law.p
-        if math.isinf(p):
-            return lambda s: np.sinc(np.asarray(s) / np.pi)
-        if p == 2.0:
-            return lambda s: np.exp(-np.asarray(s, dtype=np.float64) ** 2 / 2.0)
-        if p == 1.0:
-            return lambda s: 1.0 / (1.0 + np.asarray(s, dtype=np.float64) ** 2)
-        if p not in _PGAUSS_CF_CACHE:
-            _PGAUSS_CF_CACHE[p] = _PGaussianCF(p)
-        return _PGAUSS_CF_CACHE[p]
+        return CustomLaw(partial(_p_gaussian_draws, law.p), sigma_p_squared(law.p),
+                         _p_gaussian_cf(law.p))
     if isinstance(law, RademacherLaw):
-        return np.cos
-    if isinstance(law, CustomLaw) and law.char_fn is not None:
-        return law.char_fn
-    raise UnsupportedLaw(f"no closed-form characteristic function for {law!r}")
+        return CustomLaw(_signs, 1.0, np.cos)
+    if isinstance(law, CustomLaw):
+        return law
+    raise UnsupportedLaw(f"unknown product law {law!r}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,8 @@ class ProjectedLaw:
     and the Y_j are i.i.d. from ``product_law``.  The Gram norm may touch 1;
     the Gaussian part then degenerates along the top eigenspace.
 
-    ``complement`` is I - A A^T and ``root`` its PSD square root, both
+    ``complement`` is I - A A^T, ``root`` its PSD square root and
+    ``record`` the :func:`product_law_record` of ``product_law``, all
     computed once here.  The law is admissible exactly when
     :func:`psd_sqrt` accepts the complement, i.e. its smallest eigenvalue
     is >= -``NEG_EIG_TOL``.
@@ -174,6 +172,7 @@ class ProjectedLaw:
     product_law: object
     complement: np.ndarray = field(init=False, repr=False, compare=False)
     root: np.ndarray = field(init=False, repr=False, compare=False)
+    record: CustomLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "noise_variance", real_number(
@@ -185,6 +184,7 @@ class ProjectedLaw:
             raise DomainError("||A A^T|| must be <= 1") from exc
         object.__setattr__(self, "complement", complement)
         object.__setattr__(self, "root", root)
+        object.__setattr__(self, "record", product_law_record(self.product_law))
 
 
 def sample_projected_law(rng: SeededRng, law: ProjectedLaw, count: int) -> EmpiricalMeasure:
@@ -194,7 +194,7 @@ def sample_projected_law(rng: SeededRng, law: ProjectedLaw, count: int) -> Empir
     normals = gen.standard_normal((count, law.a.dim))
     points = math.sqrt(law.noise_variance) * normals @ law.root.T
     if law.a.count:
-        y = law_draws(gen, law.product_law, (count, law.a.count))
+        y = np.asarray(law.record.sampler(gen, (count, law.a.count)), dtype=np.float64)
         points = points + y @ law.a.columns.T
     return EmpiricalMeasure.from_points(points)
 
@@ -205,7 +205,8 @@ def project_product_batch(gen, v, law, count: int) -> EmpiricalMeasure:
     v = as_matrix(v)
     if v.shape[0] > v.shape[1]:
         raise DimensionMismatch("frame must have k <= n")
-    y = law_draws(gen, law, (whole_number(count, "count", 1), v.shape[1]))
+    shape = (whole_number(count, "count", 1), v.shape[1])
+    y = np.asarray(product_law_record(law).sampler(gen, shape), dtype=np.float64)
     return EmpiricalMeasure.from_points(y @ v.T)
 
 
@@ -250,8 +251,9 @@ def characteristic_function(law: ProjectedLaw, t) -> complex:
     quad_form = float(t @ law.complement @ t)
     value = math.exp(-0.5 * law.noise_variance * max(quad_form, 0.0))
     if law.a.count:
-        phi = law_char_fn(law.product_law)
-        value *= float(np.prod(phi(law.a.columns.T @ t)))
+        if law.record.char_fn is None:
+            raise UnsupportedLaw(f"no characteristic function for {law.product_law!r}")
+        value *= float(np.prod(law.record.char_fn(law.a.columns.T @ t)))
     return complex(value, 0.0)
 
 

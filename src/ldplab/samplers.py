@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import real_number, whole_number
+from .linalg import corner_dof, real_number, whole_number
 
 
 @dataclass(frozen=True)
@@ -205,4 +205,5 @@ def stiefel_corner_batch(
     Drawn by the Dickey identity with N = n - ell - k + 1, which needs
     n >= ell + k (N >= 1); a draw costs O(k^2 + k ell) whatever n is.
     """
-    return dickey_corner_batch(gen, k, ell, n - ell - k + 1, count)
+    k, ell, big_n = corner_dof(k, ell, n)
+    return dickey_corner_batch(gen, k, ell, big_n, count)

@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 from .configurations import PointConfiguration
 from .densities import log_corner_density, sigma_p_squared
 from .errors import DomainError, InfeasibleExperiment, NumericalFailure
-from .linalg import as_matrix, increasing_n_values, real_number, whole_number
+from .linalg import as_matrix, corner_dof, increasing_n_values, real_number, whole_number
 from .projections import project_lp_ball_batch
 from .rates import rate_configuration, rate_finite
 from .samplers import (
@@ -99,11 +99,7 @@ class LdpExperiment:
         if self.method == "quadrature" and (self.k != 1 or self.ell != 1):
             raise DomainError("quadrature requires k = ell = 1")
         self.samples_per_n = whole_number(self.samples_per_n, "samples_per_n", 1)
-        if self.n_values[0] < self.ell + self.k:
-            raise DomainError(
-                f"n_values must be >= ell + k = {self.ell + self.k}, "
-                f"got n = {self.n_values[0]}"
-            )
+        corner_dof(self.k, self.ell, self.n_values[0])
         s_max = float(np.linalg.svd(self.target, compute_uv=False)[0])
         if s_max + self.radius >= 1.0:
             raise DomainError(
@@ -434,17 +430,15 @@ def run_dickey_check(rng: SeededRng, k: int, m: int, n: int, samples: int,
     """Compare the k x m corner of a Haar frame in R^n against the
     Wishart-plus-Gaussian corner construction with N = n - m - k + 1.
 
-    ``dof_offset`` shifts N; a nonzero offset is the negative control and
-    should be detectable at moderate sample sizes.
+    ``dof_offset``, a whole number >= 1 - N, shifts N; a nonzero offset is
+    the negative control and should be detectable at moderate sample sizes.
     """
     # imported on first use, so that importing ldplab leaves scipy.stats unloaded
     from scipy.stats import ks_2samp
 
-    k, m = whole_number(k, "k", 1), whole_number(m, "m", 1)
-    n = whole_number(n, "n", 1)
-    if n < m + k:
-        raise DomainError("need n >= m + k")
-    dof = n - m - k + 1 + dof_offset
+    m, n = whole_number(m, "m", 1), whole_number(n, "n", 1)
+    k, m, dof = corner_dof(k, m, n)
+    dof += whole_number(dof_offset, "dof_offset", 1 - dof)
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         # whole QR frames (stiefel_corner_batch is the Dickey construction
         # itself), drawn on a worker while this thread draws the corners

@@ -386,10 +386,21 @@ def test_malformed_matrix_exit_code(capsys):
     assert run(["rate", "--matrix", "not json"]) == 2
 
 
-def test_numerical_failure_exit_code(capsys):
-    # a clearly non-PSD matrix reaches the eigensystem wrapper and maps to 3
+def test_numerical_failure_exit_code(capsys, monkeypatch):
+    # a failed eigensystem maps to 3; a matrix off the Wishart support no
+    # longer reaches one, so the failure is injected
+    def failed(*_args):
+        raise NumericalFailure("eigendecomposition failed")
+
+    monkeypatch.setattr("ldplab.cli.log_wishart_density", failed)
     assert run(["density", "--which", "wishart", "--n", "3",
-                "--at", "[[-1.0]]"]) == 3
+                "--at", "[[1.0]]"]) == 3
+
+
+def test_wishart_density_off_its_support_is_minus_inf(capsys):
+    # exited 3 ("matrix is not PSD") before
+    assert run(["density", "--which", "wishart", "--n", "3", "--at", "[[-1.0]]"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"log_density": "-inf"}
 
 
 def test_bundled_quadrature_config(tmp_path):

@@ -19,7 +19,9 @@ from ldplab.densities import sigma_p_squared
 from ldplab.errors import DimensionMismatch, DomainError, RecoveryFailure
 from ldplab.linalg import (ColumnList, gram, operator_norm, real_number,
                            signed_permutation_equal)
-from ldplab.projections import empirical_cf, project_product
+import ldplab.projections as projections
+from ldplab.projections import (CustomLaw, RademacherLaw, empirical_cf, project_product,
+                                sample_projected_law)
 from ldplab.samplers import PGaussianParams, SeededRng, haar_stiefel
 
 
@@ -143,23 +145,34 @@ def test_stiefel_round_trip_columns():
 
 def test_psi_empty_is_isotropic_gaussian():
     law = PGaussianParams(1.0)
-    cloud = psi(PointConfiguration.empty(2), law, math.sqrt(sigma_p_squared(1.0)),
-                SeededRng(31), 2 * 10**4)
+    cloud = sample_projected_law(SeededRng(31), psi(PointConfiguration.empty(2), law),
+                                 2 * 10**4)
     assert np.allclose(cloud.points.var(axis=0), sigma_p_squared(1.0), atol=0.1)
     assert np.allclose(np.cov(cloud.points.T)[0, 1], 0.0, atol=0.05)
 
 
-def test_psi_sigma_must_match_law_variance():
-    with pytest.raises(DomainError):
-        psi(PointConfiguration.empty(1), PGaussianParams(1.0), 0.5, SeededRng(0), 10)
+def test_psi_returns_the_law_and_draws_nothing(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("psi drew a sample")
+
+    monkeypatch.setattr(projections, "p_gaussian_batch", refuse)
+    monkeypatch.setattr(projections, "_signs", refuse)
+    mu = PointConfiguration.from_atoms(1, [((0.4,), 2)])
+    for law, var in ((RademacherLaw(), 1.0), (PGaussianParams(1.0), sigma_p_squared(1.0)),
+                     (PGaussianParams(math.inf), 1.0 / 3.0),
+                     (CustomLaw(sampler=refuse, variance=0.25), 0.25)):
+        image = psi(mu, law)
+        assert image.noise_variance == var
+        assert image.product_law is law
+        assert np.array_equal(image.a.columns, [[0.4, 0.4]])
+    assert abs(sigma_p_squared(1.0) - 2.0) < 1e-15
 
 
 def test_psi_matches_projected_product():
     v = haar_stiefel(SeededRng(32), 2, 8)
     law = PGaussianParams(1.0)
-    sigma = math.sqrt(sigma_p_squared(1.0))
     n = 4 * 10**4
-    via_psi = psi(config_from_stiefel(v), law, sigma, SeededRng(33), n)
+    via_psi = sample_projected_law(SeededRng(33), psi(config_from_stiefel(v), law), n)
     direct = project_product(SeededRng(34), v, law, n)
     gen = np.random.default_rng(35)
     for _ in range(10):
@@ -171,8 +184,8 @@ def test_psi_matches_projected_product():
 def test_psi_deterministic():
     mu = PointConfiguration.from_atoms(1, [((0.4,), 1)])
     law = PGaussianParams(2.0)
-    a = psi(mu, law, 1.0, SeededRng(36), 100)
-    b = psi(mu, law, 1.0, SeededRng(36), 100)
+    a = sample_projected_law(SeededRng(36), psi(mu, law), 100)
+    b = sample_projected_law(SeededRng(36), psi(mu, law), 100)
     assert np.array_equal(a.points, b.points)
 
 

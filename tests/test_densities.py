@@ -121,6 +121,12 @@ def test_wishart_singular_support():
     assert log_wishart_density(s, 2, 3) == -math.inf
 
 
+def test_wishart_is_minus_inf_off_its_support():
+    # raised NumericalFailure ("matrix is not PSD") before
+    assert log_wishart_density(np.array([[-1.0]]), 1, 3) == -math.inf
+    assert log_wishart_density(np.diag([1.0, -1.0]), 2, 3) == -math.inf
+
+
 def test_wishart_rejects_non_symmetric_matrix():
     with pytest.raises(DomainError, match="not symmetric"):
         log_wishart_density(np.array([[1.0, 0.5], [0.1, 1.0]]), 2, 3)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,13 +17,13 @@ from ldplab.projections import (
     characteristic_function,
     compare_ball_vs_product,
     empirical_cf,
-    law_char_fn,
     levy_prokhorov,
     project_lp_ball,
     project_product,
+    project_product_batch,
     sample_projected_law,
 )
-from ldplab.samplers import PGaussianParams, SeededRng, haar_stiefel
+from ldplab.samplers import PGaussianParams, SeededRng, haar_stiefel, p_gaussian_batch
 
 
 def columns(dim, arr):
@@ -446,8 +447,47 @@ def test_rademacher_and_custom_laws():
 
     opaque = CustomLaw(sampler=lambda gen, shape: gen.choice([-1.0, 1.0], size=shape),
                        variance=1.0)
-    with pytest.raises(UnsupportedLaw):
-        law_char_fn(opaque)
     law2 = ProjectedLaw(a=columns(1, [[0.6]]), noise_variance=1.0, product_law=opaque)
+    with pytest.raises(UnsupportedLaw):
+        characteristic_function(law2, [1.0])
     cloud = sample_projected_law(SeededRng(22), law2, 1000)
     assert cloud.count == 1000
+
+
+@pytest.mark.parametrize("product", [PGaussianParams(1.0), PGaussianParams(1.5),
+                                     PGaussianParams(math.inf), RademacherLaw()])
+def test_product_law_records_draw_as_the_samplers_do(product):
+    # one record per law: its draws are p_gaussian_batch's, or the sign
+    # formula's, bit for bit, in both the projected-law and the frame paths
+    def direct(gen, shape):
+        if isinstance(product, RademacherLaw):
+            return gen.integers(0, 2, size=shape) * 2.0 - 1.0
+        return p_gaussian_batch(gen, product.p, shape)
+
+    a = columns(2, [[0.5, 0.1, 0.2], [0.0, 0.4, -0.3]])
+    law = ProjectedLaw(a=a, noise_variance=0.5, product_law=product)
+    gen = SeededRng(40).generator()
+    want = math.sqrt(0.5) * gen.standard_normal((50, 2)) @ law.root.T
+    want = want + direct(gen, (50, 3)) @ a.columns.T
+    assert np.array_equal(sample_projected_law(SeededRng(40), law, 50).points, want)
+
+    v = haar_stiefel(SeededRng(41), 2, 6)
+    cloud = project_product_batch(SeededRng(42).generator(), v, product, 50)
+    assert np.array_equal(cloud.points, direct(SeededRng(42).generator(), (50, 6)) @ v.T)
+
+
+def test_product_law_record_refuses_an_unknown_law():
+    with pytest.raises(UnsupportedLaw, match="unknown product law"):
+        ProjectedLaw(a=columns(1, [[0.6]]), noise_variance=1.0, product_law="cube")
+    with pytest.raises(UnsupportedLaw, match="unknown product law"):
+        project_product_batch(SeededRng(43).generator(), np.eye(2), "cube", 10)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 1.5, math.inf])
+def test_projected_law_pickles_with_its_record(p):
+    law = ProjectedLaw(a=columns(1, [[0.6]]), noise_variance=1.0,
+                       product_law=PGaussianParams(p))
+    back = pickle.loads(pickle.dumps(law))
+    assert characteristic_function(back, [1.3]) == characteristic_function(law, [1.3])
+    assert np.array_equal(sample_projected_law(SeededRng(44), back, 20).points,
+                          sample_projected_law(SeededRng(44), law, 20).points)

@@ -14,7 +14,6 @@ from ldplab.configurations import (
     config_from_stiefel,
     identify_equivalent,
     power_sums,
-    psi,
     recover_from_power_sums,
 )
 from ldplab.densities import (
@@ -89,9 +88,6 @@ CASES = [
      [-1e-9], [0, F32(0.25)]),
     ("config_from_stiefel.drop_tol", "drop_tol", lambda x: config_from_stiefel(FRAME, x),
      [-1e-9], [0, 1, math.inf, F32(0.5)]),
-    ("psi.sigma", "sigma",
-     lambda x: psi(PointConfiguration.empty(1), RademacherLaw(), x, SeededRng(3), 5),
-     [0, -1.0, math.inf], [1, F32(1.0)]),
 ]
 
 

@@ -14,7 +14,8 @@ from ldplab.configurations import (
     power_sums,
     recover_from_power_sums,
 )
-from ldplab.densities import log_corner_density, log_multivariate_gamma
+from ldplab.densities import (log_corner_density, log_inverted_t_density,
+                              log_multivariate_gamma, log_wishart_density)
 from ldplab.errors import DomainError
 from ldplab.linalg import ColumnList
 from ldplab.projections import (
@@ -27,7 +28,7 @@ from ldplab.projections import (
     sample_projected_law,
 )
 from ldplab.rates import rate_orthogonal_truncated, rate_truncated
-from ldplab.samplers import SeededRng
+from ldplab.samplers import SeededRng, stiefel_corner_batch
 from ldplab.verify import (
     LdpExperiment,
     run_clt_check,
@@ -60,8 +61,8 @@ def configuration(k=1, n_values=(30, 60), threads=None):
                                  n_values, 2000, threads=threads)
 
 
-def dickey(k=1, m=1, n=10):
-    return run_dickey_check(SeededRng(3), k, m, n, 200)
+def dickey(k=1, m=1, n=10, dof_offset=0):
+    return run_dickey_check(SeededRng(3), k, m, n, 200, dof_offset=dof_offset)
 
 
 def clt(k=1, n=50):
@@ -84,6 +85,12 @@ CASES = [
     ("log_corner_density.k", "k", lambda x: log_corner_density([[0.1]], x, 1, 4), 1, 1),
     ("log_corner_density.ell", "ell", lambda x: log_corner_density([[0.1]], 1, x, 4), 1, 1),
     ("log_corner_density.n", "n", lambda x: log_corner_density([[0.1]], 1, 1, x), 1, 4),
+    ("log_inverted_t_density.n_dof", "n_dof",
+     lambda x: log_inverted_t_density([[0.2]], x), 1, 3),
+    ("log_wishart_density.k", "k", lambda x: log_wishart_density([[1.0]], x, 3), 1, 1),
+    ("log_wishart_density.n", "n", lambda x: log_wishart_density([[1.0]], 1, x), 1, 3),
+    ("stiefel_corner_batch.n", "n",
+     lambda x: stiefel_corner_batch(SeededRng(1).generator(), 1, x, 1, 10), 1, 5),
     ("rate_truncated.max_level", "max_level",
      lambda x: rate_truncated(LIST, max_level=x), 1, 2),
     ("rate_orthogonal_truncated.k_max", "k_max",
@@ -100,6 +107,8 @@ CASES = [
     ("run_dickey_check.k", "k", lambda x: dickey(k=x), 1, 1),
     ("run_dickey_check.m", "m", lambda x: dickey(m=x), 1, 1),
     ("run_dickey_check.n", "n", lambda x: dickey(n=x), 1, 10),
+    # N = 10 - 1 - 1 + 1 = 9, so the offset may reach 1 - N = -8
+    ("run_dickey_check.dof_offset", "dof_offset", lambda x: dickey(dof_offset=x), -8, 0),
     ("run_clt_check.k", "k", lambda x: clt(k=x), 1, 1),
     ("run_clt_check.n", "n", lambda x: clt(n=x), 1, 50),
     ("worker_count.threads", "threads", worker_count, 1, 2),

@@ -189,6 +189,16 @@ ROWS = {
                                  "--scale", "0", "--count", "2", "--seed", "7",
                                  "--out", "s.csv"),
     "config_one_n": verify(edit(CORNER, n_values=[20])),
+    # corner degrees of freedom, whole-number densities and the Wishart support
+    "dickey_dof_offset_negative": cmd("dickey", "--k", "1", "--m", "1", "--n", "10",
+                                      "--samples", "100", "--seed", "1",
+                                      "--dof-offset", "-9"),
+    "density_wishart_negative": cmd("density", "--which", "wishart", "--n", "3",
+                                    "--at", "[[-1.0]]"),
+    "density_inverted_t_dof_0": cmd("density", "--which", "inverted-t", "--dof", "0",
+                                    "--at", "[[0.2]]"),
+    "density_corner_n_1": cmd("density", "--which", "corner", "--n", "1",
+                              "--at", "[[0.1]]"),
     # argparse wording for a bad --p
     "sample_p_word": cmd("sample", "--dist", "pgaussian", "--p", "abc",
                          "--count", "1", "--seed", "1"),
