@@ -61,7 +61,6 @@ class PointConfiguration:
     def from_atoms(cls, dim: int, atoms) -> "PointConfiguration":
         dim = whole_number(dim, "dim", 1)
         merged: dict = {}
-        order: list = []
         for point, mult in atoms:
             point = finite_array(point, "atom coordinates").reshape(-1)
             if point.size != dim:
@@ -77,8 +76,7 @@ class PointConfiguration:
                 merged[key][1] += mult
             else:
                 merged[key] = [point, mult]
-                order.append(key)
-        atom_list = [(merged[k][0], merged[k][1]) for k in order]
+        atom_list = [(point, mult) for point, mult in merged.values()]
         row_mass = np.zeros(dim)
         for point, mult in atom_list:
             square = point**2

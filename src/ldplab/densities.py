@@ -88,11 +88,16 @@ def log_wishart_density(s, k: int, n: int) -> float:
 def log_p_gaussian_density(x: float, p: float) -> float:
     """log f_p(x) with f_p(x) = exp(-|x|^p / p) / (2 p^(1/p) Gamma(1 + 1/p))
     for 1 <= p < inf; p = inf is the Uniform[-1, 1] limit, log 1/2 on
-    [-1, 1] and -inf outside.  Refuses p < 1 and NaN x."""
+    [-1, 1] and -inf outside, and -inf wherever |x|^p overflows.  Refuses
+    p < 1 and NaN x."""
     p, x = real_number(p, "p", 1), real_number(x, "x")
     if math.isinf(p):
         return -math.log(2.0) if abs(x) <= 1.0 else NEG_INF
-    return -abs(x) ** p / p - math.log(2.0) - math.log(p) / p - math.lgamma(1.0 + 1.0 / p)
+    try:
+        power = abs(x) ** p
+    except OverflowError:  # |x|^p beyond the float range: the density is 0
+        return NEG_INF
+    return -power / p - math.log(2.0) - math.log(p) / p - math.lgamma(1.0 + 1.0 / p)
 
 
 def log_pth_power_density(x: float, p: float) -> float:

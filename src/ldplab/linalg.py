@@ -97,36 +97,30 @@ def increasing_n_values(values, name: str) -> list:
     return values
 
 
-def as_matrix(a, what: str = "matrix entries", stacked: bool = False) -> np.ndarray:
-    """Coerce to a finite 2-d float64 array (or a stack when ``stacked``)."""
+def as_matrix(a, what: str = "matrix entries") -> np.ndarray:
+    """Coerce to a finite 2-d float64 array."""
     m = finite_array(a, what)
-    if m.ndim != 2 and not (stacked and m.ndim > 2):
+    if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
     return m
 
 
-def _as_square(s, stacked: bool = False) -> np.ndarray:
-    m = as_matrix(s, stacked=stacked)
-    if m.shape[-1] != m.shape[-2]:
+def _as_square(s) -> np.ndarray:
+    m = as_matrix(s)
+    if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("matrix is not square")
-    if m.shape[-1] == 0:
+    if m.shape[0] == 0:
         raise DimensionMismatch("need at least one row")
     return m
 
 
 def _check_psd(lam: np.ndarray) -> None:
-    # lam holds ascending spectra along its last axis; the first test is a
-    # cheap necessary condition for the second
-    if (lam < -NEG_EIG_TOL).any():
-        lo = lam[..., 0]
-        if (lo < -NEG_EIG_TOL * np.maximum(1.0, lam[..., -1])).any():
-            raise NumericalFailure(
-                f"matrix is not PSD: smallest eigenvalue {lo.min():.3e}"
-            )
+    if lam[0] < -NEG_EIG_TOL * max(1.0, lam[-1]):
+        raise NumericalFailure(f"matrix is not PSD: smallest eigenvalue {lam[0]:.3e}")
 
 
 def _eigenvalues(s: np.ndarray) -> np.ndarray:
-    """Ascending spectra over the last two axes, clamped at 0."""
+    """Ascending spectrum, clamped at 0."""
     try:
         lam = np.linalg.eigvalsh(s)
     except np.linalg.LinAlgError as exc:
@@ -158,22 +152,15 @@ def operator_norm(s) -> float:
     return float(_eigenvalues(_as_square(s))[-1])
 
 
-def log_det_complement(s):
-    """log det(I - S) = sum_i log(1 - lambda_i) for symmetric PSD S, or -inf.
-
-    ``s`` is one k x k matrix, giving a float, or a stack (..., k, k),
-    giving an array.  The value is -inf as soon as the top eigenvalue
-    reaches 1 within ``BOUNDARY_TOL``; Haar-orthonormal Gram matrices land
-    there exactly.  This is the package's one boundary rule: every rate is
-    -1/2 times this value.
-    """
-    edge = 1.0 - BOUNDARY_TOL
-    # clamped below 1, a boundary member of a stack cannot reach log1p(-1);
-    # its value is set to -inf afterwards
-    lam = np.minimum(_eigenvalues(_as_square(s, stacked=True)), edge)
-    logs = np.log1p(-lam).sum(axis=-1, keepdims=True)
-    logs[lam[..., -1:] == edge] = -np.inf
-    return float(logs[0]) if logs.ndim == 1 else logs[..., 0]
+def log_det_complement(s) -> float:
+    """log det(I - S) = sum_i log(1 - lambda_i) for one symmetric PSD k x k
+    matrix S; -inf as soon as the top eigenvalue reaches 1 within
+    ``BOUNDARY_TOL``, where Haar-orthonormal Gram matrices land exactly.
+    This is the package's one boundary rule: every rate is -1/2 times it."""
+    lam = _eigenvalues(_as_square(s))
+    if lam[-1] >= 1.0 - BOUNDARY_TOL:
+        return -math.inf
+    return float(np.log1p(-lam).sum())
 
 
 def psd_sqrt(s) -> np.ndarray:

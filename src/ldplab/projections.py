@@ -86,8 +86,16 @@ class _PGaussianCF:
         self.spline = None
 
     def _point(self, s: float) -> float:
+        p = self.p
+
+        def integrand(x: float) -> float:
+            try:
+                return 2.0 * math.cos(s * x) * math.exp(-abs(x) ** p / p)
+            except OverflowError:  # |x|^p beyond the float range: weight 0
+                return 0.0
+
         val, _ = quad(
-            lambda x: 2.0 * math.cos(s * x) * math.exp(-abs(x) ** self.p / self.p),
+            integrand,
             0.0,
             self.x_hi,
             limit=400,
@@ -231,8 +239,9 @@ def project_lp_ball(rng: SeededRng, v, p: float, count: int) -> EmpiricalMeasure
 
 
 def _frequency(t, dim: int) -> np.ndarray:
-    """``t`` as a float64 vector in R^dim, else DimensionMismatch."""
-    t = np.asarray(t, dtype=np.float64)
+    """``t`` as a float64 vector in R^dim, else DimensionMismatch; entries
+    that are not finite reals raise DomainError."""
+    t = finite_array(t, "frequency")
     if t.size != dim:
         raise DimensionMismatch(f"frequency has {t.size} entries, expected {dim}")
     return t.reshape(dim)

@@ -21,6 +21,10 @@ import numpy as np
 from .errors import DomainError
 from .linalg import corner_dof, real_number, whole_number
 
+# Above this p, Gamma(1/p) draws underflow to 0 (and |x|^p underflows in
+# p-norms), so the p-Gaussian is drawn and normed through scaled forms.
+LARGE_P = 32.0
+
 
 @dataclass(frozen=True)
 class SeededRng:
@@ -38,9 +42,7 @@ class SeededRng:
         object.__setattr__(self, "stream_id", whole_number(self.stream_id, "stream", 0))
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
-        )
+        return self.child()
 
     def child(self, *key: int) -> np.random.Generator:
         """Generator for a sub-stream; distinct keys are independent."""
@@ -126,14 +128,20 @@ def p_gaussian_batch(gen: np.random.Generator, p: float, shape) -> np.ndarray:
     """Draws with density exp(-|x|^p / p) / (2 p^(1/p) Gamma(1 + 1/p)).
 
     Uses the exact Gamma transform |X|^p / p ~ Gamma(1/p, 1) for finite p;
-    p = inf yields Uniform[-1, 1].  Needs p >= 1 and every extent of
-    ``shape`` (an int or a sequence) a whole number >= 1.
+    p = inf yields Uniform[-1, 1].  Above ``LARGE_P``, where Gamma(1/p)
+    draws underflow to 0, X = V (p G)^(1/p) with V ~ Uniform[-1, 1] and
+    G ~ Gamma(1 + 1/p): the same law, as Gamma(a) = Gamma(a + 1) U^(1/a).
+    Needs p >= 1 and every extent of ``shape`` (an int or a sequence) a
+    whole number >= 1.
     """
     p = real_number(p, "p", 1)
     shape = tuple(whole_number(extent, "each extent of shape", 1)
                   for extent in (shape if np.iterable(shape) else (shape,)))
     if math.isinf(p):
         return gen.uniform(-1.0, 1.0, size=shape)
+    if p > LARGE_P:
+        g = gen.gamma(1.0 + 1.0 / p, 1.0, size=shape)
+        return gen.uniform(-1.0, 1.0, size=shape) * (p * g) ** (1.0 / p)
     g = gen.gamma(1.0 / p, 1.0, size=shape)
     signs = gen.integers(0, 2, size=shape) * 2.0 - 1.0
     return signs * (p * g) ** (1.0 / p)
@@ -170,7 +178,11 @@ def lp_ball_batch(
     if math.isinf(p):
         return radius_scale * z
     u = gen.uniform(size=(count, 1))
-    norms = np.linalg.norm(z, ord=p, axis=1, keepdims=True)
+    if p > LARGE_P:  # ||z||_p = m ||z / m||_p with m = max |z_i|, free of underflow
+        m = np.abs(z).max(axis=1, keepdims=True)
+        norms = m * np.linalg.norm(z / m, ord=p, axis=1, keepdims=True)
+    else:
+        norms = np.linalg.norm(z, ord=p, axis=1, keepdims=True)
     return radius_scale * u ** (1.0 / n) * z / norms
 
 

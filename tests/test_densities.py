@@ -172,6 +172,14 @@ def test_p_gaussian_density_domain():
             log_p_gaussian_density(math.nan, p)
 
 
+def test_p_gaussian_density_where_the_power_overflows():
+    # abs(x) ** p raised OverflowError; the density there is 0
+    for x, p in ((3.0, 1000.0), (10.0, 400.0), (-1.5, 2000.0)):
+        assert log_p_gaussian_density(x, p) == -math.inf
+    want = -1.0 / 1000.0 - math.log(2.0) - math.log(1000.0) / 1000.0 - math.lgamma(1.001)
+    assert log_p_gaussian_density(1.0, 1000.0) == want
+
+
 def test_pth_power_density_domain():
     for p in (0.0, 0.5, math.inf, math.nan):
         with pytest.raises(DomainError):
@@ -218,14 +226,21 @@ def test_sigma_p_squared_matches_sample_variance(p):
 def p_gaussian_cdf(p):
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        inner = gammainc(1.0 / p, np.abs(x) ** p / p)
+        # y = |x|^p / p in log space: y underflows for small |x| at large p,
+        # and there P(1/p, y) = y^(1/p) / Gamma(1 + 1/p) to within 1 + O(y)
+        with np.errstate(divide="ignore", over="ignore"):
+            log_y = p * np.log(np.abs(x)) - math.log(p)
+            inner = np.where(log_y < -690.0,
+                             np.exp(log_y / p - math.lgamma(1.0 + 1.0 / p)),
+                             gammainc(1.0 / p, np.exp(log_y)))
         return 0.5 * (1.0 + np.sign(x) * inner)
 
     return cdf
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 200.0, 1000.0])
 def test_p_gaussian_samples_match_density(p):
+    # at p = 200 and 1000 the Gamma(1/p) draws underflowed to an atom at 0
     draws = p_gaussian(SeededRng(33, int(10 * p)), PGaussianParams(p), 10**5)
     stat = kstest(draws, p_gaussian_cdf(p)).statistic
     assert stat < 1.63 / math.sqrt(draws.size)

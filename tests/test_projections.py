@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import kstest
 
 from ldplab.densities import sigma_p_squared
@@ -396,6 +397,30 @@ def test_characteristic_functions_refuse_a_frequency_of_the_wrong_length():
     for cf, arg in ((characteristic_function, law), (empirical_cf, cloud)):
         with pytest.raises(DimensionMismatch, match="frequency has 3 entries, expected 2"):
             cf(arg, [0.1, 0.2, 0.3])
+
+
+def test_characteristic_functions_refuse_frequencies_that_are_not_finite_reals():
+    # NaN and inf leaked out as NaN values; a string and a bool read as 1.0
+    law = ProjectedLaw(a=columns(1, [[0.5]]), noise_variance=1.0,
+                       product_law=PGaussianParams(2.0))
+    cloud = EmpiricalMeasure.from_points(np.zeros((3, 1)))
+    for cf, arg in ((characteristic_function, law), (empirical_cf, cloud)):
+        for t in ([math.nan], [math.inf], ["1.0"], [True]):
+            with pytest.raises(DomainError, match="frequency"):
+                cf(arg, t)
+        assert cf(arg, [np.float32(0.25)]) == cf(arg, [0.25])
+
+
+def test_characteristic_function_at_large_finite_p():
+    # |x|^p overflowed inside the quadrature for p above about 192
+    law = ProjectedLaw(a=columns(1, [[1.0]]), noise_variance=sigma_p_squared(250.0),
+                       product_law=PGaussianParams(250.0))
+    norm = 2.0 * 250.0 ** (1.0 / 250.0) * math.gamma(1.0 + 1.0 / 250.0)
+    direct, _ = quad(lambda x: 2.0 * math.cos(0.5 * x) * math.exp(-x**250.0 / 250.0) / norm,
+                     0.0, 2.0, points=[1.0], epsabs=1e-13, epsrel=1e-13)
+    value = characteristic_function(law, [0.5])
+    assert abs(value.real - 0.957208) < 1e-6
+    assert abs(value.real - direct) < 1e-10
 
 
 def test_characteristic_function_normalized_and_bounded():

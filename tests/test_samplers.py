@@ -254,6 +254,16 @@ def test_lp_ball_batch_inf_is_the_scaled_cube():
         assert gen.random() == after
 
 
+def test_lp_ball_batch_rows_are_finite_at_large_p():
+    # zero p-Gaussian draws and an underflowing p-norm gave 0/0 rows at p = 1000
+    pts = lp_ball_batch(SeededRng(32).generator(), 1000.0, 4, None, 2000)
+    assert np.isfinite(pts).all()
+    radius = 4.0 ** (1.0 / 1000.0)
+    m = np.abs(pts).max(axis=1)
+    assert np.all(m * np.sum((np.abs(pts) / m[:, None]) ** 1000.0, axis=1) ** 0.001
+                  <= radius * (1.0 + 1e-12))
+
+
 # (id, argument name, draw taking the argument as x, minimum, a valid value)
 # for every whole-number argument of the samplers
 WHOLE_ARGS = [

@@ -91,6 +91,10 @@ ROWS = {
                             "--count", "4", "--seed", "7", "--out", "s.csv"),
     "sample_lpball_p_inf": cmd("sample", "--dist", "lpball", "--p", "inf", "--n", "4",
                                "--count", "4", "--seed", "7", "--out", "s.csv"),
+    "sample_pgaussian_p1000": cmd("sample", "--dist", "pgaussian", "--p", "1000", "--n", "8",
+                                  "--count", "20", "--seed", "1"),
+    "sample_lpball_p1000": cmd("sample", "--dist", "lpball", "--p", "1000", "--n", "4",
+                               "--count", "50", "--seed", "1"),
     "rate_matrix": cmd("rate", "--matrix", "[[0.5, 0.1], [0.0, 0.3]]"),
     "rate_boundary": cmd("rate", "--matrix", "[[1.0]]"),
     "rate_boundary_long_list": cmd("rate", "--matrix", "[[0.6, 0, 0.8], [0, 0.6, 0]]"),
@@ -100,6 +104,8 @@ ROWS = {
     "density_sigma2_inf": cmd("density", "--which", "sigma2", "--p", "inf"),
     "density_sigma2_INF": cmd("density", "--which", "sigma2", "--p", "INF"),
     "density_pgaussian": cmd("density", "--which", "pgaussian", "--p", "1", "--x", "1"),
+    "density_pgaussian_p1000": cmd("density", "--which", "pgaussian", "--p", "1000",
+                                   "--x", "3"),
     "density_pth_power": cmd("density", "--which", "pth-power", "--p", "2", "--x", "1"),
     "density_corner": cmd("density", "--which", "corner", "--n", "4", "--at", "[[0.1]]"),
     "density_inverted_t": cmd("density", "--which", "inverted-t", "--dof", "3",
