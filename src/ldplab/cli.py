@@ -96,28 +96,23 @@ def _cmd_sample(args) -> None:
         if args.k is None or args.n is None:
             raise DomainError("stiefel requires --k and --n")
         draws = stiefel_batch(gen, args.k, args.n, args.count)
-        shape = [args.k, args.n]
     elif args.dist == "orthogonal":
         if args.n is None:
             raise DomainError("orthogonal requires --n")
         draws = stiefel_batch(gen, args.n, args.n, args.count)
-        shape = [args.n, args.n]
     elif args.dist == "wishart":
         if args.k is None or args.n is None:
             raise DomainError("wishart requires --k and --n")
         draws = wishart_batch(gen, args.k, args.n, args.count)
-        shape = [args.k, args.k]
     elif args.dist == "pgaussian":
         if args.p is None:
             raise DomainError("pgaussian requires --p")
         width = 1 if args.n is None else args.n
         draws = p_gaussian_batch(gen, args.p, (args.count, 1, width))
-        shape = [1, width]
     else:  # lpball; argparse restricts --dist to these five
         if args.p is None or args.n is None:
             raise DomainError("lpball requires --p and --n")
         draws = lp_ball_batch(gen, args.p, args.n, args.scale, args.count)[:, None, :]
-        shape = [1, args.n]
 
     rows = draws.reshape(args.count, -1)
     _write_csv(args.out, rows)
@@ -131,7 +126,7 @@ def _cmd_sample(args) -> None:
         "count": args.count,
         "seed": args.seed,
         "stream": args.stream,
-        "row_shape": shape,
+        "row_shape": list(draws.shape[1:]),
     })
     print(f"wrote {args.count} rows to {args.out}")
 

@@ -16,7 +16,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .linalg import as_matrix, corner_dof, gram, log_det_complement, real_number, whole_number
+from .linalg import (as_matrix, corner_dof, frame_dims, gram, log_det_complement,
+                     real_number, whole_number)
 
 NEG_INF = float("-inf")
 
@@ -64,11 +65,9 @@ def log_wishart_density(s, k: int, n: int) -> float:
     """Log density of the identity-scale Wishart law at the symmetric k x k
     matrix ``s``; -inf when ``s`` is not positive definite."""
     s = as_matrix(s)
-    k, n = whole_number(k, "k", 1), whole_number(n, "n", 1)
+    k, n = frame_dims(k, n)
     if s.shape != (k, k):
         raise DomainError(f"expected a {k} x {k} matrix, got shape {s.shape}")
-    if k > n:
-        raise DomainError(f"k must be <= n, got k = {k}, n = {n}")
     if np.max(np.abs(s - s.T)) > 1e-12 * max(1.0, float(np.max(np.abs(s)))):
         raise DomainError("matrix is not symmetric")
     # the plain spectrum, non-increasing: sym_eigenvalues refuses what is not PSD

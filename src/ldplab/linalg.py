@@ -61,6 +61,15 @@ def corner_dof(k, ell, n) -> tuple:
     return k, ell, n - ell - k + 1
 
 
+def frame_dims(k, n) -> tuple:
+    """(k, n) read through :func:`whole_number`; k > n raises
+    :class:`DomainError`.  This is the package's one k <= n frame rule."""
+    k, n = whole_number(k, "k", 1), whole_number(n, "n", 1)
+    if k > n:
+        raise DomainError(f"k must be <= n, got k = {k}, n = {n}")
+    return k, n
+
+
 def real_number(value, name: str, low: float = -math.inf, *, strict: bool = False,
                 finite: bool = False) -> float:
     """``value`` as a float; :class:`DomainError` unless it is a real number

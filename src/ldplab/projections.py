@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,8 +16,8 @@ from scipy.integrate import quad
 
 from .densities import sigma_p_squared
 from .errors import DimensionMismatch, DomainError, NumericalFailure, UnsupportedLaw
-from .linalg import (ColumnList, as_matrix, finite_array, gram, increasing_n_values,
-                     psd_sqrt, real_number, whole_number)
+from .linalg import (ColumnList, as_matrix, finite_array, frame_dims, gram,
+                     increasing_n_values, psd_sqrt, real_number, whole_number)
 from .samplers import (
     PGaussianParams,
     SeededRng,
@@ -63,10 +63,6 @@ class CustomLaw:
     sampler: Callable
     variance: float
     char_fn: Optional[Callable] = None
-
-
-# cached grid interpolants of the scalar p-Gaussian characteristic function
-_PGAUSS_CF_CACHE: dict = {}
 
 
 class _PGaussianCF:
@@ -129,13 +125,13 @@ def _closed_form_cf(p: float, s) -> np.ndarray:
     return np.exp(-s ** 2 / 2.0) if p == 2.0 else 1.0 / (1.0 + s ** 2)
 
 
+@cache
 def _p_gaussian_cf(p: float) -> Callable:
-    """Scalar characteristic function of the p-Gaussian law, vectorized over s."""
+    """Scalar characteristic function of the p-Gaussian law, vectorized over s;
+    one grid interpolant per p is kept for the life of the process."""
     if p in (1.0, 2.0, math.inf):
         return partial(_closed_form_cf, p)
-    if p not in _PGAUSS_CF_CACHE:
-        _PGAUSS_CF_CACHE[p] = _PGaussianCF(p)
-    return _PGAUSS_CF_CACHE[p]
+    return _PGaussianCF(p)
 
 
 def _p_gaussian_draws(p: float, gen: np.random.Generator, shape) -> np.ndarray:
@@ -211,8 +207,7 @@ def project_product_batch(gen, v, law, count: int) -> EmpiricalMeasure:
     """Push the product law of n i.i.d. coordinates through the k x n frame,
     drawing from ``gen``."""
     v = as_matrix(v)
-    if v.shape[0] > v.shape[1]:
-        raise DimensionMismatch("frame must have k <= n")
+    frame_dims(*v.shape)
     shape = (whole_number(count, "count", 1), v.shape[1])
     y = np.asarray(product_law_record(law).sampler(gen, shape), dtype=np.float64)
     return EmpiricalMeasure.from_points(y @ v.T)
@@ -227,8 +222,7 @@ def project_lp_ball_batch(gen, v, p: float, count: int) -> EmpiricalMeasure:
     """Project the uniform law on n^(1/p) B_p^n through the k x n frame,
     drawing from ``gen``."""
     v = as_matrix(v)
-    if v.shape[0] > v.shape[1]:
-        raise DimensionMismatch("frame must have k <= n")
+    frame_dims(*v.shape)
     x = lp_ball_batch(gen, p, v.shape[1], None, count)
     return EmpiricalMeasure.from_points(x @ v.T)
 

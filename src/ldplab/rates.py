@@ -94,6 +94,27 @@ def _prefix_rates(x: np.ndarray) -> list:
     return np.cumsum(-0.5 * np.log1p(-q)).tolist() + [INF] * (count - finite)
 
 
+def _truncation(x: np.ndarray, levels: int):
+    """(value, report) for the first ``levels`` columns of the (dim, count)
+    array ``x``; a row truncation of M is the column truncation of M^T.
+
+    The Gram norm of the whole input sets ``boundary``, and the value (+inf
+    from ``BOUNDARY_LO`` on) when ``levels`` cuts the input.  A finite last
+    rate already puts it below ``BOUNDARY_LO``, so it is then not computed.
+    """
+    partial = _prefix_rates(x[:, :levels])
+    cut = levels < x.shape[1]
+    norm = operator_norm(gram(x)) if cut or (partial and math.isinf(partial[-1])) else 0.0
+    report = TruncationReport(
+        truncation_level=levels,
+        partial_rates=partial,
+        converged=not cut,
+        tail_bound=float(np.sum(x[:, levels:] ** 2)),
+        boundary=BOUNDARY_LO <= norm <= BOUNDARY_HI,
+    )
+    return (INF if cut and norm >= BOUNDARY_LO else report.value), report
+
+
 def rate_truncated(a: ColumnList, max_level: int | None = None):
     """Rate of a finitely supported k x infinity matrix.
 
@@ -102,44 +123,19 @@ def rate_truncated(a: ColumnList, max_level: int | None = None):
     ``max_level`` does not cut the support; otherwise it is the lower bound
     at ``max_level`` with the dropped mass in ``tail_bound``.
     """
-    n_cols = a.count
-    levels = n_cols if max_level is None else min(
-        whole_number(max_level, "max_level", 1), n_cols)
-    full_norm = operator_norm(gram(a.columns))
-    report = TruncationReport(
-        truncation_level=levels,
-        partial_rates=_prefix_rates(a.columns[:, :levels]),
-        converged=(levels == n_cols),
-        tail_bound=float(np.sum(a.columns[:, levels:] ** 2)),
-        boundary=BOUNDARY_LO <= full_norm <= BOUNDARY_HI,
-    )
-    if levels < n_cols and full_norm >= BOUNDARY_LO:
-        # the full Gram norm decides the value when max_level cuts the levels
-        return INF, report
-    return report.value, report
+    levels = a.count if max_level is None else min(
+        whole_number(max_level, "max_level", 1), a.count)
+    return _truncation(a.columns, levels)
 
 
 def rate_orthogonal_truncated(m, k_max: int) -> TruncationReport:
-    """Partial rates of the leading k-row blocks of a square matrix.
-
-    The k-th partial rate is the finite-block rate of the first k rows.
-    """
+    """Partial rates of the leading k-row blocks of a square matrix, the k-th
+    being the finite-block rate of the first k rows; ``boundary`` describes
+    the whole matrix."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DomainError("matrix must be square")
-    n = m.shape[0]
-    levels = min(whole_number(k_max, "k_max", 1), n)
-    partial = _prefix_rates(m[:levels].T)
-    return TruncationReport(
-        truncation_level=levels,
-        partial_rates=partial,
-        converged=(levels == n),
-        tail_bound=float(np.sum(m[levels:, :] ** 2)),
-        boundary=bool(
-            partial and math.isinf(partial[-1])
-            and BOUNDARY_LO <= operator_norm(gram(m[:levels])) <= BOUNDARY_HI
-        ),
-    )
+    return _truncation(m.T, min(whole_number(k_max, "k_max", 1), m.shape[0]))[1]
 
 
 def rate_configuration(mu: PointConfiguration) -> float:

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .linalg import corner_dof, real_number, whole_number
+from .linalg import corner_dof, frame_dims, real_number, whole_number
 
 # Above this p, Gamma(1/p) draws underflow to 0 (and |x|^p underflows in
 # p-norms), so the p-Gaussian is drawn and normed through scaled forms.
@@ -71,14 +70,6 @@ def gaussian_matrix(rng: SeededRng, k: int, n: int) -> np.ndarray:
     return rng.generator().standard_normal(shape)
 
 
-def _frame_shape(k, n, count) -> tuple:
-    """(k, n, count) as ints with 1 <= k <= n and count >= 1, else DomainError."""
-    k, n = whole_number(k, "k", 1), whole_number(n, "n", 1)
-    if k > n:
-        raise DomainError(f"k must be <= n, got k = {k}, n = {n}")
-    return k, n, whole_number(count, "count", 1)
-
-
 def stiefel_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.ndarray:
     """``count`` Haar frames as a (count, k, n) array, drawn from ``gen``.
 
@@ -86,7 +77,8 @@ def stiefel_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.nd
     the signs of diag(R) divided out so that the law is exactly Haar
     (Mezzadri, Notices AMS 54, 2007).
     """
-    k, n, count = _frame_shape(k, n, count)
+    k, n = frame_dims(k, n)
+    count = whole_number(count, "count", 1)
     q, r = np.linalg.qr(gen.standard_normal((count, n, k)))
     q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     return np.swapaxes(q, 1, 2)
@@ -109,7 +101,8 @@ def wishart_batch(gen: np.random.Generator, k: int, n: int, count: int) -> np.nd
     triangular, L_ii^2 ~ chi^2(n - i) for i = 0, ..., k - 1 and standard
     normals below the diagonal, so a draw costs O(k^2) whatever n is.
     """
-    k, n, count = _frame_shape(k, n, count)
+    k, n = frame_dims(k, n)
+    count = whole_number(count, "count", 1)
     low = np.zeros((count, k, k))
     below = np.tri(k, k, -1, dtype=bool)
     low[:, below] = gen.standard_normal((count, int(below.sum())))

@@ -20,7 +20,8 @@ from scipy.optimize import brentq
 from .configurations import PointConfiguration
 from .densities import log_corner_density, sigma_p_squared
 from .errors import DomainError, InfeasibleExperiment, NumericalFailure
-from .linalg import as_matrix, corner_dof, increasing_n_values, real_number, whole_number
+from .linalg import (as_matrix, corner_dof, frame_dims, increasing_n_values, real_number,
+                     whole_number)
 from .projections import project_lp_ball_batch
 from .rates import rate_configuration, rate_finite
 from .samplers import (
@@ -377,21 +378,20 @@ def run_ldp_configuration(
     if target.dim != k:
         raise DomainError("target dimension does not match k")
     n_values = _slope_n_values(n_values)
-    if n_values[0] < k:
-        raise DomainError(f"a k x n frame needs n >= k = {k}, got n = {n_values[0]}")
+    frame_dims(k, n_values[0])
     samples_per_n = whole_number(samples_per_n, "samples_per_n", 1)
     r = real_number(r, "r", 0, strict=True, finite=True)
     rho = real_number(rho, "rho", 0, strict=True, finite=True)
     _check_atom_balls(target.atoms, r, rho)
 
     rate_ref = rate_configuration(target)
-    for n in n_values:
-        low, high = _configuration_event_bounds(target, r, rho, n)
-        if not (low <= k <= high):
-            raise InfeasibleExperiment(
-                f"event has probability zero at n={n}: column mass must be "
-                f"{k} but the event constrains it to [{low:.4g}, {high:.4g}]"
-            )
+    # the lower bound is the same at every n and the upper one grows with n
+    low, high = _configuration_event_bounds(target, r, rho, n_values[0])
+    if not (low <= k <= high):
+        raise InfeasibleExperiment(
+            f"event has probability zero at n={n_values[0]}: column mass must be "
+            f"{k} but the event constrains it to [{low:.4g}, {high:.4g}]"
+        )
 
     def hits(gen, size, n):
         return configuration_hit_count(stiefel_batch(gen, k, n, size), target.atoms,

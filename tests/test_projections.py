@@ -117,6 +117,15 @@ def test_project_product_gaussian_case():
     assert stat < 1.63 / math.sqrt(cloud.count)
 
 
+@pytest.mark.parametrize("project", [
+    lambda v: project_product(SeededRng(1), v, PGaussianParams(2.0), 10),
+    lambda v: project_lp_ball(SeededRng(1), v, 2.0, 10),
+])
+def test_projections_refuse_more_rows_than_columns(project):
+    with pytest.raises(DomainError, match="k must be <= n, got k = 3, n = 2"):
+        project(np.zeros((3, 2)))
+
+
 def test_project_product_identity_frame():
     v = np.eye(4)[:2, :]
     cloud = project_product(SeededRng(6), v, PGaussianParams(1.0), 10**5)
@@ -421,6 +430,12 @@ def test_characteristic_function_at_large_finite_p():
     value = characteristic_function(law, [0.5])
     assert abs(value.real - 0.957208) < 1e-6
     assert abs(value.real - direct) < 1e-10
+    # phi(1.5) against mpmath references computed at 30 digits
+    for p, reference in [(40.0, 0.614841245040346012), (250.0, 0.653038608010371604),
+                         (1e4, 0.664483272718513618)]:
+        law = ProjectedLaw(a=columns(1, [[1.0]]), noise_variance=sigma_p_squared(p),
+                           product_law=PGaussianParams(p))
+        assert abs(characteristic_function(law, [1.5]).real - reference) < 1e-9
 
 
 def test_characteristic_function_normalized_and_bounded():

@@ -84,6 +84,15 @@ def test_rate_orthogonal_boundary_at_first_row():
     assert report.partial_rates[-1] == math.inf
 
 
+def test_row_truncation_boundary_follows_the_whole_matrix():
+    # the first two rows lie inside the ball; the whole matrix is on its boundary
+    report = rate_orthogonal_truncated(np.diag([0.5, 0.5, 1.0]), 2)
+    assert all(math.isfinite(rate) for rate in report.partial_rates)
+    assert not report.converged
+    assert report.tail_bound == 1.0
+    assert report.boundary
+
+
 def test_rate_orthogonal_requires_square():
     with pytest.raises(DomainError):
         rate_orthogonal_truncated(np.zeros((2, 3)), 2)

@@ -393,7 +393,7 @@ def test_configuration_validation():
 def test_configuration_requires_n_ge_k():
     # an empty target with r > 1 passes every event check; the frames
     # themselves cannot exist at n = 2 < k
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="k must be <= n"):
         run_ldp_configuration(SeededRng(1), 3, PointConfiguration.empty(3),
                               r=2.0, rho=0.05, n_values=[2, 3], samples_per_n=1000)
 

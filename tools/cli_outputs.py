@@ -205,6 +205,9 @@ ROWS = {
                                     "--at", "[[0.2]]"),
     "density_corner_n_1": cmd("density", "--which", "corner", "--n", "1",
                               "--at", "[[0.1]]"),
+    # a Gram norm beyond the boundary, and a configuration frame with k > n
+    "rate_beyond_boundary": cmd("rate", "--matrix", "[[0.8, 0.8]]"),
+    "config_k_above_n": verify(edit(EMPTY_CONFIGURATION, k=3, r=2.0, n_values=[2, 3])),
     # argparse wording for a bad --p
     "sample_p_word": cmd("sample", "--dist", "pgaussian", "--p", "abc",
                          "--count", "1", "--seed", "1"),
