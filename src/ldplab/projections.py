@@ -23,6 +23,7 @@ from .samplers import (
     SeededRng,
     lp_ball_batch,
     p_gaussian_batch,
+    random_signs,
     stiefel_batch,
 )
 
@@ -139,10 +140,6 @@ def _p_gaussian_draws(p: float, gen: np.random.Generator, shape) -> np.ndarray:
     return p_gaussian_batch(gen, p, shape)
 
 
-def _signs(gen: np.random.Generator, shape) -> np.ndarray:
-    return gen.integers(0, 2, size=shape) * 2.0 - 1.0
-
-
 def product_law_record(law) -> CustomLaw:
     """The one reader of product laws: the :class:`CustomLaw` record of a law,
     a CustomLaw being its own; any other object raises UnsupportedLaw."""
@@ -150,7 +147,7 @@ def product_law_record(law) -> CustomLaw:
         return CustomLaw(partial(_p_gaussian_draws, law.p), sigma_p_squared(law.p),
                          _p_gaussian_cf(law.p))
     if isinstance(law, RademacherLaw):
-        return CustomLaw(_signs, 1.0, np.cos)
+        return CustomLaw(random_signs, 1.0, np.cos)
     if isinstance(law, CustomLaw):
         return law
     raise UnsupportedLaw(f"unknown product law {law!r}")

@@ -20,8 +20,8 @@ import numpy as np
 
 from .linalg import corner_dof, frame_dims, real_number, whole_number
 
-# Above this p, Gamma(1/p) draws underflow to 0 (and |x|^p underflows in
-# p-norms), so the p-Gaussian is drawn and normed through scaled forms.
+# Above this p, |x|^p underflows in p-norms, so lp_ball_batch takes the norm
+# of a row in the max-scaled form m ||z / m||_p with m = max |z_i|.
 LARGE_P = 32.0
 
 
@@ -117,27 +117,31 @@ def wishart(rng: SeededRng, k: int, n: int) -> np.ndarray:
     return wishart_batch(rng.generator(), k, n, 1)[0]
 
 
+def random_signs(gen: np.random.Generator, shape) -> np.ndarray:
+    """Independent signs, -1.0 or +1.0 with probability 1/2 each, of ``shape``."""
+    return gen.integers(0, 2, size=shape) * 2.0 - 1.0
+
+
 def p_gaussian_batch(gen: np.random.Generator, p: float, shape) -> np.ndarray:
     """Draws with density exp(-|x|^p / p) / (2 p^(1/p) Gamma(1 + 1/p)).
 
-    Uses the exact Gamma transform |X|^p / p ~ Gamma(1/p, 1) for finite p;
-    p = inf yields Uniform[-1, 1].  Above ``LARGE_P``, where Gamma(1/p)
-    draws underflow to 0, X = V (p G)^(1/p) with V ~ Uniform[-1, 1] and
-    G ~ Gamma(1 + 1/p): the same law, as Gamma(a) = Gamma(a + 1) U^(1/a).
-    Needs p >= 1 and every extent of ``shape`` (an int or a sequence) a
-    whole number >= 1.
+    For finite p != 1, X = V (p G)^(1/p) with V ~ Uniform[-1, 1] and
+    G ~ Gamma(1 + 1/p): |X|^p / p ~ Gamma(1/p, 1), as Gamma(a) = Gamma(a + 1)
+    U^(1/a).  A Gamma shape above 1 takes numpy's fast path and never
+    underflows to 0 at large p.  At p = 1, |X| ~ Gamma(1) with a random
+    sign; p = inf yields Uniform[-1, 1].  Needs p >= 1 and every extent of
+    ``shape`` (an int or a sequence) a whole number >= 1.
     """
     p = real_number(p, "p", 1)
     shape = tuple(whole_number(extent, "each extent of shape", 1)
                   for extent in (shape if np.iterable(shape) else (shape,)))
     if math.isinf(p):
         return gen.uniform(-1.0, 1.0, size=shape)
-    if p > LARGE_P:
-        g = gen.gamma(1.0 + 1.0 / p, 1.0, size=shape)
-        return gen.uniform(-1.0, 1.0, size=shape) * (p * g) ** (1.0 / p)
-    g = gen.gamma(1.0 / p, 1.0, size=shape)
-    signs = gen.integers(0, 2, size=shape) * 2.0 - 1.0
-    return signs * (p * g) ** (1.0 / p)
+    if p == 1.0:
+        g = gen.gamma(1.0, 1.0, size=shape)
+        return random_signs(gen, shape) * g
+    g = gen.gamma(1.0 + 1.0 / p, 1.0, size=shape)
+    return gen.uniform(-1.0, 1.0, size=shape) * (p * g) ** (1.0 / p)
 
 
 def p_gaussian(rng: SeededRng, params: PGaussianParams, count: int) -> np.ndarray:

@@ -156,7 +156,7 @@ def test_psi_returns_the_law_and_draws_nothing(monkeypatch):
         raise AssertionError("psi drew a sample")
 
     monkeypatch.setattr(projections, "p_gaussian_batch", refuse)
-    monkeypatch.setattr(projections, "_signs", refuse)
+    monkeypatch.setattr(projections, "random_signs", refuse)
     mu = PointConfiguration.from_atoms(1, [((0.4,), 2)])
     for law, var in ((RademacherLaw(), 1.0), (PGaussianParams(1.0), sigma_p_squared(1.0)),
                      (PGaussianParams(math.inf), 1.0 / 3.0),

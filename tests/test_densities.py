@@ -238,7 +238,7 @@ def p_gaussian_cdf(p):
     return cdf
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 200.0, 1000.0])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 32.0, 200.0, 1000.0])
 def test_p_gaussian_samples_match_density(p):
     # at p = 200 and 1000 the Gamma(1/p) draws underflowed to an atom at 0
     draws = p_gaussian(SeededRng(33, int(10 * p)), PGaussianParams(p), 10**5)

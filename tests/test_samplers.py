@@ -264,6 +264,44 @@ def test_lp_ball_batch_rows_are_finite_at_large_p():
                   <= radius * (1.0 + 1e-12))
 
 
+@pytest.mark.parametrize("p", [1.0, math.inf, 1000.0])
+def test_draws_outside_one_to_large_p_are_pinned(p):
+    # the draws at p = 1, p = inf and p > 32, written out from the generator's
+    # primitives: they must not move, bit for bit, nor consume another stream
+    def p_gaussians(gen, shape):
+        if math.isinf(p):
+            return gen.uniform(-1.0, 1.0, size=shape)
+        if p > 32.0:
+            g = gen.gamma(1.0 + 1.0 / p, 1.0, size=shape)
+            return gen.uniform(-1.0, 1.0, size=shape) * (p * g) ** (1.0 / p)
+        g = gen.gamma(1.0 / p, 1.0, size=shape)
+        signs = gen.integers(0, 2, size=shape) * 2.0 - 1.0
+        return signs * (p * g) ** (1.0 / p)
+
+    def ball(gen, n, scale, count):
+        z = p_gaussians(gen, (count, n))
+        if math.isinf(p):
+            return scale * z
+        u = gen.uniform(size=(count, 1))
+        if p > 32.0:
+            m = np.abs(z).max(axis=1, keepdims=True)
+            norms = m * np.linalg.norm(z / m, ord=p, axis=1, keepdims=True)
+        else:
+            norms = np.linalg.norm(z, ord=p, axis=1, keepdims=True)
+        return scale * u ** (1.0 / n) * z / norms
+
+    for draw, want in (
+            (lambda gen: p_gaussian_batch(gen, p, (40, 3)),
+             lambda gen: p_gaussians(gen, (40, 3))),
+            (lambda gen: lp_ball_batch(gen, p, 5, None, 30),
+             lambda gen: ball(gen, 5, 5.0 ** (1.0 / p), 30)),
+            (lambda gen: lp_ball_batch(gen, p, 5, 2.5, 30),
+             lambda gen: ball(gen, 5, 2.5, 30))):
+        gen, ref = SeededRng(35).generator(), SeededRng(35).generator()
+        assert np.array_equal(draw(gen), want(ref))
+        assert gen.random() == ref.random()
+
+
 # (id, argument name, draw taking the argument as x, minimum, a valid value)
 # for every whole-number argument of the samplers
 WHOLE_ARGS = [
