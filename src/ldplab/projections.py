@@ -275,20 +275,34 @@ def _lp_check(dists_mu, dists_nu, eps: float) -> bool:
     return True
 
 
-def _lp_threshold(d_a: np.ndarray, d_b: np.ndarray) -> float:
-    """Smallest eps with ``_lp_violation(d_a, d_b, eps) <= eps`` in exact
-    arithmetic, given pre-sorted distance arrays.
+def _lp_threshold(d_mu: np.ndarray, d_nu: np.ndarray,
+                  count_mu: np.ndarray, count_nu: np.ndarray) -> float:
+    """Smallest eps with ``_lp_violation(d_a, d_b, eps) <= eps`` for both
+    (d_a, d_b) = (d_mu, d_nu) and (d_nu, d_mu) in exact arithmetic, given
+    one center's pre-sorted distance arrays and ``arange(1, N + 1) / N`` as
+    the count of each.
 
-    The i-th radius admits eps iff some count c has eps >= d_b[c - 1] - d_a[i]
-    (c points of d_b within d_a[i] + eps) and eps >= (i + 1)/N_a - c/N_b.
-    The first bound rises with c and the second falls, so the best c sits
-    where d_b[c - 1] + c/N_b first reaches d_a[i] + (i + 1)/N_a.
+    With q = d + count, the i-th radius of d_a admits eps iff some count c
+    has eps >= d_b[c - 1] - d_a[i] (c points of d_b within d_a[i] + eps) and
+    eps >= count_a[i] - c/N_b.  The first bound rises with c and the second
+    falls, so the best c is j = #{q_b < q_a[i]}.  Both directions read j
+    from one stable merge of the increasing q_mu and q_nu: q_mu[i] is
+    preceded by j_mu[i] = #{q_nu < q_mu[i]} points of q_nu, and q_nu[c] by
+    #{q_mu <= q_nu[c]} points of q_mu, which is the strict count unless
+    q_mu[j - 1] == q_nu[c] (j = 0 wraps to q_mu[-1] > q_nu[c]); a center
+    with such a tie takes its strict counts from a sorted search.
     """
-    n_a, n_b = d_a.size, d_b.size
-    count_a = np.arange(1, n_a + 1) / n_a
-    j = np.searchsorted(d_b + np.arange(1, n_b + 1) / n_b, d_a + count_a)
-    reach = np.append(d_b, np.inf)[j] - d_a
-    return float(np.max(np.minimum(reach, count_a - j / n_b)))
+    n_mu, n_nu = d_mu.size, d_nu.size
+    q_mu, q_nu = d_mu + count_mu, d_nu + count_nu
+    is_mu = np.argsort(np.concatenate([q_mu, q_nu]), kind="stable") < n_mu
+    j_mu = np.flatnonzero(is_mu) - np.arange(n_mu)
+    j_nu = np.flatnonzero(~is_mu) - np.arange(n_nu)
+    if np.any(q_mu[j_nu - 1] == q_nu):
+        j_nu = np.searchsorted(q_mu, q_nu)
+    reach_mu = np.append(d_nu, np.inf)[j_mu] - d_mu
+    reach_nu = np.append(d_mu, np.inf)[j_nu] - d_nu
+    return max(float(np.max(np.minimum(reach_mu, count_mu - j_mu / n_nu))),
+               float(np.max(np.minimum(reach_nu, count_nu - j_nu / n_mu))))
 
 
 def _lp_grid(dim: int, grid) -> int:
@@ -321,13 +335,13 @@ def levy_prokhorov(mu: EmpiricalMeasure, nu: EmpiricalMeasure, grid: int = 200) 
 
     Tests mu(A) <= nu(A_eps) + eps (and symmetrically) over the family of
     Euclidean balls centered on a pooled subsample of at most ``grid``
-    points.  The smallest admissible eps t is computed exactly, one sorted
-    search per center and direction, and reported where a bisection of
-    [0, 1] to resolution 0.5 / grid would stop: the least multiple of
-    h = 2^-m above t, with 2^m the least power of two >= 2 grid, capped at
-    1.0 (0.0 when t < 0).  Monotone in the true distance and exact on point
-    masses; restricting to balls makes this a heuristic rather than the
-    exact combinatorial optimum.
+    points.  The smallest admissible eps t is computed exactly, from one
+    stable merge per center for both directions, and reported where a
+    bisection of [0, 1] to resolution 0.5 / grid would stop: the least
+    multiple of h = 2^-m above t, with 2^m the least power of two >= 2 grid,
+    capped at 1.0 (0.0 when t < 0).  Monotone in the true distance and exact
+    on point masses; restricting to balls makes this a heuristic rather than
+    the exact combinatorial optimum.
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch("sample clouds live in different dimensions")
@@ -344,8 +358,10 @@ def levy_prokhorov(mu: EmpiricalMeasure, nu: EmpiricalMeasure, grid: int = 200) 
     dists_mu = [_sorted_distances(rows_mu, c) for c in centers]
     dists_nu = [_sorted_distances(rows_nu, c) for c in centers]
 
+    count_mu = np.arange(1, mu.count + 1) / mu.count
+    count_nu = np.arange(1, nu.count + 1) / nu.count
     threshold = max(
-        max(_lp_threshold(d_mu, d_nu), _lp_threshold(d_nu, d_mu))
+        _lp_threshold(d_mu, d_nu, count_mu, count_nu)
         for d_mu, d_nu in zip(dists_mu, dists_nu)
     )
     tie = _LP_TIE_BAND * max(1.0, max(d[-1] for d in dists_mu + dists_nu))

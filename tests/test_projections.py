@@ -320,6 +320,43 @@ def test_levy_prokhorov_matches_bisection_lattice_clouds(monkeypatch):
     assert len(checked) >= 10
 
 
+def _searched_threshold(d_a: np.ndarray, d_b: np.ndarray) -> float:
+    """One direction's threshold by one sorted search of d_a into d_b."""
+    n_a, n_b = d_a.size, d_b.size
+    count_a = np.arange(1, n_a + 1) / n_a
+    j = np.searchsorted(d_b + np.arange(1, n_b + 1) / n_b, d_a + count_a)
+    reach = np.append(d_b, np.inf)[j] - d_a
+    return float(np.max(np.minimum(reach, count_a - j / n_b)))
+
+
+def test_lp_threshold_equals_two_sorted_searches():
+    gen = np.random.default_rng(26)
+    pairs = []
+    for _ in range(200):
+        n_mu, n_nu = gen.integers(1, 300, size=2)
+        pairs.append((np.sort(gen.uniform(0.0, gen.uniform(0.1, 4.0), n_mu)),
+                      np.sort(gen.exponential(gen.uniform(0.1, 2.0), n_nu))))
+    # lattice distances put exact ties into d + i/N, at equal and unequal counts
+    counts = ((4, 4), (8, 8), (16, 16), (5, 5), (4, 8), (8, 2), (3, 6), (16, 4))
+    for q in (1, 2, 4, 8, 3, 10):
+        for n_mu, n_nu in counts:
+            for _ in range(5):
+                pairs.append((np.sort(gen.integers(0, 2 * q + 1, n_mu) / q),
+                              np.sort(gen.integers(0, 2 * q + 1, n_nu) / q)))
+    # single points and repeated points
+    for x, y in ((0.0, 0.0), (0.0, 0.25), (1.5, 0.5), (2.0, 2.0)):
+        for n_mu, n_nu in ((1, 1), (1, 4), (4, 1), (3, 3), (2, 6)):
+            pairs.append((np.full(n_mu, x), np.full(n_nu, y)))
+    tied = 0
+    for d_mu, d_nu in pairs:
+        count_mu = np.arange(1, d_mu.size + 1) / d_mu.size
+        count_nu = np.arange(1, d_nu.size + 1) / d_nu.size
+        tied += np.intersect1d(d_mu + count_mu, d_nu + count_nu).size > 0
+        expected = max(_searched_threshold(d_mu, d_nu), _searched_threshold(d_nu, d_mu))
+        assert projections._lp_threshold(d_mu, d_nu, count_mu, count_nu) == expected
+    assert tied >= 50
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_levy_prokhorov_matches_bisection_criterion_11(monkeypatch, k):
     estimates = []

@@ -120,6 +120,12 @@ ROWS = {
     "project_product": cmd("project", "--mode", "product", "--k", "2", "--n", "10",
                            "--p", "infinity", "--count", "20", "--seed", "3",
                            "--out", "c.csv"),
+    "project_product_p1": cmd("project", "--mode", "product", "--k", "2", "--n", "10",
+                              "--p", "1", "--count", "20", "--seed", "3",
+                              "--out", "c.csv"),
+    "project_product_p2": cmd("project", "--mode", "product", "--k", "2", "--n", "10",
+                              "--p", "2", "--count", "20", "--seed", "3",
+                              "--out", "c.csv"),
     "project_law": law(LAW),
     "project_law_p_number": law(edit(LAW, product={"p": 2})),
     "project_law_rademacher_flat": law(edit(LAW, columns=[0.5, 0.0, 0.0, 0.4],
@@ -127,6 +133,8 @@ ROWS = {
     "project_law_no_columns": law(drop(edit(LAW, noise_variance=1.0), "columns")),
     "compare": cmd("compare", "--k", "1", "--p", "1", "--n-list", "20,40",
                    "--count", "1000", "--grid", "64", "--seed", "5"),
+    "compare_k2": cmd("compare", "--k", "2", "--p", "1", "--n-list", "20,40",
+                      "--count", "1000", "--grid", "64", "--seed", "5"),
     "compare_out": cmd("compare", "--k", "1", "--p", "2", "--n-list", "20",
                        "--count", "1000", "--grid", "32", "--seed", "5",
                        "--out", "cmp.csv"),
