@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,6 +40,8 @@ class EmpiricalMeasure:
         pts = finite_array(points, "sample coordinates")
         if pts.ndim == 1:
             pts = pts[:, None]
+        if pts.ndim != 2 or pts.shape[1] < 1:
+            raise DimensionMismatch(f"sample points must have shape (N, k), k >= 1, got {pts.shape}")
         if pts.shape[0] < 1:
             raise DomainError("need at least one sample point")
         return cls(dim=pts.shape[1], points=pts)
@@ -66,73 +68,28 @@ class CustomLaw:
     char_fn: Optional[Callable] = None
 
 
-class _PGaussianCF:
-    """phi(s) = int cos(s x) f_p(x) dx on a dense grid, cubic interpolation.
-
-    The grid step 0.005 keeps the interpolation error far below the 1e-8
-    target; values outside the current grid extend it on demand.
-    """
-
-    STEP = 0.005
-
-    def __init__(self, p: float):
-        self.p = p
-        # integrate out to where the density tail is negligible
-        self.x_hi = max((40.0 * p) ** (1.0 / p), 40.0)
-        self.s_max = 0.0
-        self.spline = None
-
-    def _point(self, s: float) -> float:
-        p = self.p
-
-        def integrand(x: float) -> float:
-            try:
-                return 2.0 * math.cos(s * x) * math.exp(-abs(x) ** p / p)
-            except OverflowError:  # |x|^p beyond the float range: weight 0
-                return 0.0
-
-        val, _ = quad(
-            integrand,
-            0.0,
-            self.x_hi,
-            limit=400,
-            epsabs=1e-12,
-            epsrel=1e-12,
-        )
-        norm = 2.0 * self.p ** (1.0 / self.p) * math.gamma(1.0 + 1.0 / self.p)
-        return val / norm
-
-    def _extend(self, s_max: float):
-        # imported on first use, so that importing ldplab leaves scipy.interpolate unloaded
-        from scipy.interpolate import CubicSpline
-
-        s_max = max(2.0, 1.25 * s_max)
-        grid = np.arange(0.0, s_max + self.STEP, self.STEP)
-        vals = np.array([self._point(s) for s in grid])
-        self.spline = CubicSpline(grid, vals)
-        self.s_max = grid[-1]
-
-    def __call__(self, s):
-        s = np.abs(np.asarray(s, dtype=np.float64))
-        if self.spline is None or (s.size and np.max(s) > self.s_max):
-            self._extend(float(np.max(s)) if s.size else 1.0)
-        return self.spline(s)
-
-
-def _closed_form_cf(p: float, s) -> np.ndarray:
+def _p_gaussian_cf(p: float, s) -> np.ndarray:
+    """Characteristic function of the p-Gaussian law at each entry of s:
+    closed forms at p = 1, 2 and inf, otherwise one QAWO quadrature of
+    cos(s x) exp(-x^p / p) over [0, x_hi] per entry."""
     s = np.asarray(s, dtype=np.float64)
     if math.isinf(p):
         return np.sinc(s / np.pi)
-    return np.exp(-s ** 2 / 2.0) if p == 2.0 else 1.0 / (1.0 + s ** 2)
+    if p in (1.0, 2.0):
+        return np.exp(-s ** 2 / 2.0) if p == 2.0 else 1.0 / (1.0 + s ** 2)
 
+    def density(x: float) -> float:
+        try:
+            return math.exp(-x ** p / p)
+        except OverflowError:  # x^p beyond the float range: weight 0
+            return 0.0
 
-@cache
-def _p_gaussian_cf(p: float) -> Callable:
-    """Scalar characteristic function of the p-Gaussian law, vectorized over s;
-    one grid interpolant per p is kept for the life of the process."""
-    if p in (1.0, 2.0, math.inf):
-        return partial(_closed_form_cf, p)
-    return _PGaussianCF(p)
+    # integrate out to where the density tail is negligible
+    x_hi = max((40.0 * p) ** (1.0 / p), 40.0)
+    norm = p ** (1.0 / p) * math.gamma(1.0 + 1.0 / p)
+    return np.array([quad(density, 0.0, x_hi, weight="cos", wvar=w, limit=400,
+                          epsabs=1e-12, epsrel=1e-12)[0] / norm
+                     for w in s.ravel()]).reshape(s.shape)
 
 
 def _p_gaussian_draws(p: float, gen: np.random.Generator, shape) -> np.ndarray:
@@ -145,7 +102,7 @@ def product_law_record(law) -> CustomLaw:
     a CustomLaw being its own; any other object raises UnsupportedLaw."""
     if isinstance(law, PGaussianParams):
         return CustomLaw(partial(_p_gaussian_draws, law.p), sigma_p_squared(law.p),
-                         _p_gaussian_cf(law.p))
+                         partial(_p_gaussian_cf, law.p))
     if isinstance(law, RademacherLaw):
         return CustomLaw(random_signs, 1.0, np.cos)
     if isinstance(law, CustomLaw):

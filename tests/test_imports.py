@@ -149,9 +149,9 @@ def test_every_thread_pool_is_sized_by_worker_count():
     assert [(name, line) for name, line, ok in pools if not ok] == []
 
 
-# scipy.stats (the KS checks) and scipy.interpolate (the p-Gaussian CF
-# spline) are imported inside the functions that use them, so a short
-# process pays for neither unless it runs one of those functions
+# scipy.stats (the KS checks) is imported inside the functions that use it,
+# so a short process pays for it only if it runs one of them;
+# scipy.interpolate is not imported at all
 LAZY_MODULES = ("scipy.stats", "scipy.interpolate")
 
 

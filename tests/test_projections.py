@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,13 @@ def test_levy_prokhorov_symmetry_and_triangle():
     d02 = levy_prokhorov(ms[0], ms[2], grid=400)
     assert d01 == d10
     assert d02 <= d01 + d12 + 1.0 / 200
+
+
+@pytest.mark.parametrize("points", [np.zeros((3, 0)), np.zeros((4, 2, 2)), 1.0],
+                         ids=["no_columns", "three_axes", "scalar"])
+def test_sample_cloud_must_be_n_by_k(points):
+    with pytest.raises(DimensionMismatch):
+        EmpiricalMeasure.from_points(points)
 
 
 def test_levy_prokhorov_dimension_guard():
@@ -473,6 +481,33 @@ def test_characteristic_function_at_large_finite_p():
         law = ProjectedLaw(a=columns(1, [[1.0]]), noise_variance=sigma_p_squared(p),
                            product_law=PGaussianParams(p))
         assert abs(characteristic_function(law, [1.5]).real - reference) < 1e-9
+
+
+@pytest.mark.parametrize("p, s, reference", [
+    (1.5, 0.7071067811865476, 0.73752840744601926751),
+    (1.5, 1.0025, 0.55579181319204497189),
+    (3.0, 20.0, -9.7055578450426105843e-6),
+    (3.0, 100.0, -1.5529164210175744318e-8),
+    (1e6, 1.5, 0.66498879067335680949),
+])
+def test_p_gaussian_cf_matches_mpmath(p, s, reference):
+    # references computed at 30 digits with mpmath
+    law = ProjectedLaw(a=columns(1, [[1.0]]), noise_variance=sigma_p_squared(p),
+                       product_law=PGaussianParams(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = characteristic_function(law, [s])
+    assert abs(value.real - reference) < 1e-13
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_p_gaussian_cf_is_even_and_normalized(p):
+    law = ProjectedLaw(a=columns(1, [[1.0]]), noise_variance=sigma_p_squared(p),
+                       product_law=PGaussianParams(p))
+    for s in (0.3, 1.0025, 7.5, 40.0):
+        assert characteristic_function(law, [-s]) == characteristic_function(law, [s])
+    # the quadrature at s = 0 lands within a few ulps of 1 (8 below it at p = 1.5)
+    assert abs(characteristic_function(law, [0.0]) - 1.0) < 1e-15
 
 
 def test_characteristic_function_normalized_and_bounded():
