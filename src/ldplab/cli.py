@@ -263,7 +263,8 @@ def _cmd_compare(args) -> None:
 
 
 _LAW_FIELDS = {"dim": 1, "columns": list, "noise_variance": float, "product": object}
-_VERIFY_FIELDS = {"schema_version": 1, "seed": 0, "stream": 0, "experiment": str,
+# SeededRng reads seed and stream, which may exceed the whole-number bound
+_VERIFY_FIELDS = {"schema_version": 1, "seed": object, "stream": object, "experiment": str,
                   "k": 1, "n_values": list, "samples_per_n": 1, "output_path": str}
 _EXPERIMENT_FIELDS = {
     "ldp_corner": {"ell": 1, "target": list, "radius": float, "method": str},

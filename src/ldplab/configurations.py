@@ -65,7 +65,9 @@ class PointConfiguration:
             point = finite_array(point, "atom coordinates").reshape(-1)
             if point.size != dim:
                 raise DimensionMismatch(f"atom {point.tolist()} does not lie in R^{dim}")
-            mult = whole_number(mult, "multiplicity", 1)
+            # unbounded: the squared-mass rule below refuses a multiplicity
+            # too large for a float
+            mult = whole_number(mult, "multiplicity", 1, None)
             if np.max(np.abs(point)) > 1.0 + 1e-9:
                 raise DomainError("atoms must lie in [-1, 1]^k")
             if np.all(point == 0.0):

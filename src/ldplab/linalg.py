@@ -13,6 +13,7 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -40,14 +41,23 @@ def finite_array(a, what: str) -> np.ndarray:
     return m.astype(np.float64, copy=False)
 
 
-def whole_number(value, name: str, minimum: int) -> int:
+# The largest whole number the package takes (int64, as NumPy sizes are);
+# seeds and stream ids are exempt, since SeedSequence takes any size.
+WHOLE_MAX = 2**63 - 1
+
+
+def whole_number(value, name: str, minimum: int, maximum: Optional[int] = WHOLE_MAX) -> int:
     """``value`` as an int; :class:`DomainError` unless it is a real whole
-    number (not a bool) >= ``minimum``.  2.0 is read as 2.  Every count,
-    dimension and order the package takes goes through this rule."""
+    number (not a bool) >= ``minimum`` and, unless ``maximum`` is None,
+    <= ``maximum``.  2.0 is read as 2.  Every count, dimension and order
+    the package takes goes through this rule."""
     whole = isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and math.isfinite(value) and value % 1 == 0)
     if isinstance(value, bool) or not whole or value < minimum:
         raise DomainError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        shown = repr(value) if len(repr(value)) <= 30 else f"{len(str(int(value)))} digits"
+        raise DomainError(f"{name} must be a whole number <= {maximum}, got {shown}")
     return int(value)
 
 

@@ -37,8 +37,8 @@ class SeededRng:
     stream_id: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", whole_number(self.seed, "seed", 0))
-        object.__setattr__(self, "stream_id", whole_number(self.stream_id, "stream", 0))
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed", 0, None))
+        object.__setattr__(self, "stream_id", whole_number(self.stream_id, "stream", 0, None))
 
     def generator(self) -> np.random.Generator:
         return self.child()

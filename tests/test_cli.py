@@ -374,6 +374,42 @@ def test_out_of_domain_exits_2(tmp_path, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
+HUGE = str(10**400)
+
+
+@pytest.mark.parametrize("args, name", [
+    (["density", "--which", "corner", "--n", HUGE, "--at", "[[0.1]]"], "n"),
+    (["density", "--which", "inverted-t", "--dof", HUGE, "--at", "[[0.2]]"], "n_dof"),
+    (["density", "--which", "wishart", "--n", HUGE, "--at", "[[1.0]]"], "n"),
+    (["sample", "--dist", "wishart", "--k", "1", "--n", HUGE, "--count", "1", "--seed", "1"],
+     "n"),
+    (["dickey", "--k", "1", "--m", "1", "--n", HUGE, "--samples", "10", "--seed", "1"], "n"),
+    (["sample", "--dist", "stiefel", "--k", "1", "--n", HUGE, "--count", "1", "--seed", "1"],
+     "n"),
+    (["sample", "--dist", "pgaussian", "--p", "2", "--count", HUGE, "--seed", "1"],
+     "each extent of shape"),
+    (["clt", "--k", "1", "--p", "2", "--n", HUGE, "--samples", "10", "--seed", "1"], "n"),
+    (["compare", "--k", "1", "--p", "1", "--n-list", f"5,{HUGE}", "--count", "1000",
+      "--seed", "1"], "--n-list"),
+], ids=["density_corner", "density_inverted_t", "density_wishart", "sample_wishart",
+        "dickey", "sample_stiefel", "sample_pgaussian_count", "clt", "compare_n_list"])
+def test_huge_whole_numbers_exit_2_naming_the_argument(tmp_path, monkeypatch, capsys,
+                                                       args, name):
+    # an OverflowError or ValueError from NumPy exited 1 with a traceback before
+    monkeypatch.chdir(tmp_path)
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {name} must be a whole number <= {2**63 - 1}, got 401 digits" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_huge_seed_and_stream_are_accepted(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--dist", "stiefel", "--k", "1", "--n", "2", "--count", "1",
+                "--seed", HUGE, "--stream", HUGE, "--out", str(out)]) == 0
+    assert strict_json((tmp_path / "s.csv.json").read_text())["seed"] == 10**400
+
+
 def test_clt_report_writes_infinite_p(tmp_path, capsys):
     out = tmp_path / "clt.json"
     assert run(["clt", "--k", "1", "--p", "inf", "--n", "50",

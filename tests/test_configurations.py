@@ -70,11 +70,17 @@ def test_config_refuses_non_whole_multiplicity(mult):
 
 
 @pytest.mark.parametrize("value, expected", [
-    (2, 2), (2.0, 2), (np.int64(3), 3), (np.float64(4.0), 4), (10**400, 10**400),
+    (2, 2), (2.0, 2), (np.int64(3), 3), (np.float64(4.0), 4), (2**63 - 1, 2**63 - 1),
 ])
 def test_whole_number_accepts(value, expected):
     got = whole_number(value, "x", 1)
     assert got == expected and type(got) is int
+
+
+def test_whole_number_without_maximum_accepts_any_size():
+    assert whole_number(10**400, "x", 1, None) == 10**400
+    with pytest.raises(DomainError, match=f"x must be a whole number <= {2**63 - 1}, got 401 digits"):
+        whole_number(10**400, "x", 1)
 
 
 @pytest.mark.parametrize("value", [True, False, 1.5, math.inf, -math.inf, math.nan,

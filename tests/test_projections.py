@@ -4,11 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import kstest
 
 from ldplab.densities import sigma_p_squared
-from ldplab.errors import DimensionMismatch, DomainError, UnsupportedLaw
+from ldplab.errors import DimensionMismatch, DomainError, NumericalFailure, UnsupportedLaw
 from ldplab.linalg import ColumnList
 import ldplab.projections as projections
 from ldplab.projections import (
@@ -533,6 +533,82 @@ def test_characteristic_function_matches_empirical(law_p):
         exact = characteristic_function(law, t).real
         emp = empirical_cf(cloud, t).real
         assert abs(exact - emp) < 3.0 / math.sqrt(n)
+
+
+def test_empirical_cf_half_angle_matches_cos_and_sin_per_point():
+    # one tangent of the half phase replaced a cosine and a sine per point;
+    # the phases k pi put odd k at the poles of tan
+    gen = np.random.default_rng(380)
+    phases = np.concatenate([gen.uniform(-1e8, 1e8, 10**6), np.arange(-1000, 1001) * np.pi])
+    w, uw = projections._half_angle(0.5 * phases)
+    assert np.abs(2.0 * w - 1.0 - np.cos(phases)).max() < 1e-15
+    assert np.abs(2.0 * uw - np.sin(phases)).max() < 1e-15
+
+
+def test_empirical_cf_of_one_point_is_its_phasor():
+    # at most 1.5 ulp of 1 from cos and sin (3.3e-16, reached by about 1% of
+    # phases in the cosine; 2.2e-16 in the sine)
+    gen = np.random.default_rng(381)
+    for k in (1, 2, 3):
+        for _ in range(100):
+            x, t = gen.uniform(-3, 3, k), gen.uniform(-5, 5, k)
+            value = empirical_cf(EmpiricalMeasure.from_points(x[None, :]), t)
+            assert abs(value.real - math.cos(x @ t)) < 3.4e-16
+            assert abs(value.imag - math.sin(x @ t)) < 2.3e-16
+
+
+@pytest.mark.parametrize("count, k", [(1, 1), (7, 2), (2 * 10**4, 3)])
+def test_empirical_cf_is_one_at_zero_and_conjugate_under_negation(count, k):
+    cloud = EmpiricalMeasure.from_points(
+        np.random.default_rng(382).standard_normal((count, k)) * 4.0)
+    assert empirical_cf(cloud, np.zeros(k)) == 1 + 0j
+    for t in np.random.default_rng(383).uniform(-50, 50, (20, k)):
+        assert empirical_cf(cloud, -t) == empirical_cf(cloud, t).conjugate()
+
+
+def test_empirical_cf_refuses_an_overflowing_phase():
+    # returned (nan+nanj) with RuntimeWarnings before
+    cloud = EmpiricalMeasure.from_points([[1.0, 1.0], [2.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=r"frequency t = \[1e\+308, 1e\+308\]"):
+            empirical_cf(cloud, [1e308, 1e308])
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 40.0])
+def test_p_gaussian_cf_refuses_a_quadrature_that_is_not_finite(p):
+    # QAWO returned nan at s = 1e100, and 0 x nan made the law's value nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        with pytest.raises(NumericalFailure, match=f"p = {p}, s = 1e\\+100"):
+            projections._p_gaussian_cf(p, [0.5, 1e100])
+        law = ProjectedLaw(a=columns(2, [[1.0], [0.0]]), noise_variance=1.0,
+                           product_law=PGaussianParams(p))
+        with pytest.raises(NumericalFailure, match="s = 1e\\+200"):
+            characteristic_function(law, [1e200, 0.0])
+
+
+@pytest.mark.parametrize("product", [RademacherLaw(), PGaussianParams(math.inf)],
+                         ids=["rademacher", "p_inf"])
+def test_characteristic_function_refuses_an_overflowing_phase(product):
+    # t.C_j overflowed to inf and cos or sinc of it returned nan
+    law = ProjectedLaw(a=columns(2, [[0.6], [0.6]]), noise_variance=0.2, product_law=product)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="frequency t"):
+            characteristic_function(law, [1.5e308, 1.5e308])
+        # the same law at a frequency whose phases stay finite
+        assert math.isfinite(characteristic_function(law, [1e200, -1e200]).real)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_characteristic_function_vanishes_at_huge_frequencies(p):
+    # closed forms whose squares overflow are 0, not a warning
+    law = ProjectedLaw(a=columns(2, [[0.6], [0.6]]), noise_variance=0.2,
+                       product_law=PGaussianParams(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert characteristic_function(law, [1.5e308, 1.5e308]) == 0
 
 
 def test_sample_projected_law_signed_permutation_invariance():

@@ -1,6 +1,7 @@
 """Every count, dimension and order outside the samplers reads through
-``whole_number``: 2.0 is read as 2, and fractions, bools and values below
-the minimum raise a DomainError naming the argument.  The samplers' own
+``whole_number``: 2.0 is read as 2, and fractions, bools, values below
+the minimum and values above 2**63 - 1 raise a DomainError naming the
+argument.  The samplers' own
 arguments are covered in ``test_samplers.py``."""
 
 import pickle
@@ -17,7 +18,7 @@ from ldplab.configurations import (
 from ldplab.densities import (log_corner_density, log_inverted_t_density,
                               log_multivariate_gamma, log_wishart_density)
 from ldplab.errors import DomainError
-from ldplab.linalg import ColumnList
+from ldplab.linalg import WHOLE_MAX, ColumnList
 from ldplab.projections import (
     EmpiricalMeasure,
     ProjectedLaw,
@@ -127,6 +128,9 @@ def test_whole_number_arguments(name, call, minimum, valid):
     for bad in (2.5, True, minimum - 1):
         with pytest.raises(DomainError, match=f"^{name} must be a whole number >= {minimum}"):
             call(bad)
+    for huge in (WHOLE_MAX + 1, 10**400, 1e300):
+        with pytest.raises(DomainError, match=f"^{name} must be a whole number <= {WHOLE_MAX}"):
+            call(huge)
     assert pickle.dumps(call(float(valid))) == pickle.dumps(call(valid))
 
 
@@ -151,3 +155,10 @@ def test_n_lists_must_be_sequences(name, call):
     # raised TypeError ('int' object is not iterable) before
     with pytest.raises(DomainError, match=f"^{name} must be a sequence of whole numbers, got 5"):
         call()
+
+
+def test_seed_and_stream_take_any_size():
+    # SeedSequence takes any size, so only the lower bound applies
+    rng = SeededRng(10**400, 10**30)
+    assert rng.seed == 10**400 and rng.stream_id == 10**30
+    assert rng.generator().standard_normal() != SeededRng(10**400).generator().standard_normal()

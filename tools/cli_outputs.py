@@ -39,6 +39,7 @@ EMPTY_CONFIGURATION = dict(CONFIGURATION, seed=2, atoms=[], r=0.5,
 LAW = {"dim": 2, "columns": [[0.5, 0.0], [0.0, 0.4]], "noise_variance": 0.333333,
        "product": {"p": "inf"}}
 CSV = "0.5,0.1,0.2,0.3\n0.1,0.0,0.0,0.2\n"
+HUGE = str(10**400)
 
 
 def edit(base: dict, **changes) -> dict:
@@ -216,6 +217,29 @@ ROWS = {
     # a Gram norm beyond the boundary, and a configuration frame with k > n
     "rate_beyond_boundary": cmd("rate", "--matrix", "[[0.8, 0.8]]"),
     "config_k_above_n": verify(edit(EMPTY_CONFIGURATION, k=3, r=2.0, n_values=[2, 3])),
+    # whole numbers above 2**63 - 1, which exited 1 with a traceback
+    "density_corner_n_huge": cmd("density", "--which", "corner", "--n", HUGE,
+                                 "--at", "[[0.1]]"),
+    "density_inverted_t_dof_huge": cmd("density", "--which", "inverted-t", "--dof", HUGE,
+                                       "--at", "[[0.2]]"),
+    "density_wishart_n_huge": cmd("density", "--which", "wishart", "--n", HUGE,
+                                  "--at", "[[1.0]]"),
+    "sample_wishart_n_huge": cmd("sample", "--dist", "wishart", "--k", "1", "--n", HUGE,
+                                 "--count", "1", "--seed", "1", "--out", "s.csv"),
+    "dickey_n_huge": cmd("dickey", "--k", "1", "--m", "1", "--n", HUGE, "--samples", "10",
+                         "--seed", "1"),
+    "sample_stiefel_n_huge": cmd("sample", "--dist", "stiefel", "--k", "1", "--n", HUGE,
+                                 "--count", "1", "--seed", "1", "--out", "s.csv"),
+    "sample_pgaussian_count_huge": cmd("sample", "--dist", "pgaussian", "--p", "2",
+                                       "--count", HUGE, "--seed", "1", "--out", "s.csv"),
+    "clt_n_huge": cmd("clt", "--k", "1", "--p", "2", "--n", HUGE, "--samples", "10",
+                      "--seed", "1"),
+    "compare_n_list_huge": cmd("compare", "--k", "1", "--p", "1", "--n-list", f"5,{HUGE}",
+                               "--count", "1000", "--seed", "1"),
+    # seeds and streams take any size
+    "sample_seed_huge": cmd("sample", "--dist", "stiefel", "--k", "1", "--n", "2",
+                            "--count", "1", "--seed", HUGE, "--stream", HUGE,
+                            "--out", "s.csv"),
     # argparse wording for a bad --p
     "sample_p_word": cmd("sample", "--dist", "pgaussian", "--p", "abc",
                          "--count", "1", "--seed", "1"),
